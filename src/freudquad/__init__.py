@@ -20,7 +20,6 @@ from .errors import (
 from .experiments import FIGURE_IDS, FigureSpec, figure_spec, run_figure
 from .gaussquad import QuadratureRule, christoffel, gauss_rule, integrate
 from .kernels import (
-    KernelSpec,
     mehler,
     sup_envelope_constant,
     tail_index,
@@ -65,7 +64,7 @@ __all__ = [
     # rules
     "QuadratureRule", "gauss_rule", "christoffel", "integrate",
     # kernels
-    "KernelSpec", "mehler", "truncated_kernel", "tail_index",
+    "mehler", "truncated_kernel", "tail_index",
     "sup_envelope_constant",
     # spaces
     "SpaceWeight", "HermiteExpansion", "GridSpec", "lambda_of",

@@ -28,11 +28,18 @@ from . import __version__
 from .errors import FreudQuadError
 from .experiments import FIGURE_IDS, figure_spec, run_figure
 from .gaussquad import gauss_rule
-from .kernels import mehler, sup_envelope_constant
+from .kernels import mehler
 from .mzframe import build_system, generalized_weights, perturb_nodes, support_check
 from .orthopoly import basis_matrix, build_basis
 from .spaces import SpaceWeight, lambda_of
-from .wce import WCETable, series_truncation, tensor_wce, wce_me2, wce_series
+from .wce import (
+    WCETable,
+    _series_capacity,
+    _series_depth,
+    tensor_wce,
+    wce_me2,
+    wce_series,
+)
 
 _SPACE_NAMES = ("hs", "epq", "ms", "mse", "mse2")
 
@@ -163,18 +170,8 @@ def _cmd_wce(args) -> int:
             values.append(wce_me2(rule.nodes, rule.omega, t))
         axis = "n"
     else:
-        k_max = args.k_max
-        if k_max is None and space.kind in ("poly", "mod-poly"):
-            # polynomial weights decay too slowly for the envelope-based
-            # auto-truncation; use a fixed recorded depth instead
-            k_max = 40_000
-        if k_max is None:
-            sup = sup_envelope_constant(build_basis(args.alpha, 512))
-            cap = series_truncation(
-                space, 2 * max(ns), args.trunc_tol, args.alpha, sup
-            ) + 4
-        else:
-            cap = k_max
+        k_max = _series_depth(space, args.k_max)
+        cap = _series_capacity(space, 2 * max(ns), args.trunc_tol, args.alpha, k_max)
         basis = build_basis(args.alpha, max(cap, max(ns) + 1))
         values, params = [], {
             "space": label, "alpha": args.alpha, "seed": args.seed,
@@ -271,8 +268,7 @@ def _cmd_check(args) -> int:
     resid = float(np.abs(e - target).max())
     report("gauss-exactness n=21 k<=41", resid < 1e-9, f"max residual {resid:.3e}")
 
-    rule22 = gauss_rule(basis, 21)
-    system = build_system(basis, 20, rule22.nodes, rule22.tau)
+    system = build_system(basis, 20, rule.nodes, rule.tau)
     defect = float(np.abs(system.gram - np.eye(21)).max())
     report(
         "frame-identity n=20",

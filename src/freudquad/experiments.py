@@ -10,29 +10,22 @@ Each figure id fixes a rule family, a space, an n-range and a fit axis:
                  series route from k = n+1; sqrt-exponential s = 1/2
                  against sqrt(n), and polynomial s = 1 and 2/3 against
                  log10(n).
-
-Row computation optionally fans out over a thread pool sized by the
-FREUDQ_THREADS environment variable; assembly is ordered by n, so output
-is identical either way.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gaussquad import gauss_rule
-from .kernels import sup_envelope_constant
 from .mzframe import build_system, generalized_weights, perturb_nodes, support_check
 from .orthopoly import build_basis
 from .spaces import SpaceWeight
-from .wce import WCETable, series_truncation, wce_me2, wce_series
+from .wce import WCETable, _series_capacity, _series_depth, wce_me2, wce_series
 
-__all__ = ["FigureSpec", "figure_spec", "run_figure", "FIGURE_IDS", "worker_count"]
+__all__ = ["FigureSpec", "figure_spec", "run_figure", "FIGURE_IDS"]
 
 _LOG10_E = math.log10(math.e)
 
@@ -53,7 +46,7 @@ class FigureSpec:
     eps: float | None = None          # fig3: perturbation magnitude
     sign_mode: str = "positive"
     trunc_tol: float = 1e-16
-    k_max: int | None = None          # fig3b/c: fixed series depth
+    k_max: int | None = None          # fixed series depth (fig3b/c by default)
 
     def space(self) -> SpaceWeight | None:
         if self.space_kind is None:
@@ -77,12 +70,10 @@ _DEFAULTS = {
         n_values=_ODD_3_21, axis="sqrt-n", s=0.5, space_kind="mod-exp", eps=0.1
     ),
     "fig3b": dict(
-        n_values=_ODD_3_21, axis="log-n", s=1.0, space_kind="poly", eps=0.1,
-        k_max=40_000,
+        n_values=_ODD_3_21, axis="log-n", s=1.0, space_kind="poly", eps=0.1
     ),
     "fig3c": dict(
-        n_values=_ODD_3_21, axis="log-n", s=2.0 / 3.0, space_kind="poly", eps=0.1,
-        k_max=40_000,
+        n_values=_ODD_3_21, axis="log-n", s=2.0 / 3.0, space_kind="poly", eps=0.1
     ),
 }
 
@@ -94,20 +85,19 @@ def figure_spec(figure_id: str, **overrides) -> FigureSpec:
         raise ValueError(f"figure id must be one of {FIGURE_IDS}, got {figure_id!r}")
     kwargs = dict(_DEFAULTS[figure_id])
     kwargs.update(overrides)
-    return FigureSpec(id=figure_id, **kwargs)
+    spec = FigureSpec(id=figure_id, **kwargs)
+    if spec.space() is not None:
+        spec = replace(spec, k_max=_series_depth(spec.space(), spec.k_max))
+    return spec
 
 
 def worker_count() -> int:
-    """Thread budget for row-parallel runs, capped by FREUDQ_THREADS."""
-    cores = os.cpu_count() or 1
-    raw = os.environ.get("FREUDQ_THREADS")
-    if raw is None:
-        return cores
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"FREUDQ_THREADS must be an integer, got {raw!r}")
-    return max(1, min(n, cores))
+    """Rows run one after another in the calling thread, so this is 1.
+
+    There is no row pool; the function stays only because the benchmark
+    records it with each pass (``perfbench/passrun.py``).
+    """
+    return 1
 
 
 def _theory_slope(spec: FigureSpec) -> float:
@@ -125,12 +115,8 @@ def _required_capacity(spec: FigureSpec) -> int:
     n_top = max(spec.n_values)
     if spec.id in ("fig1a", "fig1b"):
         return n_top + 1
-    if spec.k_max is not None:
-        return spec.k_max
-    # the truncation index the series evaluator will pick at the deepest row
-    sup = sup_envelope_constant(build_basis(2.0, 512))
     start = 2 * n_top if spec.id.startswith("fig2") else n_top + 1
-    return series_truncation(spec.space(), start, spec.trunc_tol, 2.0, sup) + 4
+    return _series_capacity(spec.space(), start, spec.trunc_tol, 2.0, spec.k_max)
 
 
 def _row_value(spec: FigureSpec, basis, n: int) -> tuple[float, dict]:
@@ -183,21 +169,11 @@ def run_figure(spec: FigureSpec | str, **overrides) -> WCETable:
     results: dict[int, tuple[float, dict]] = {}
     failures: dict[int, str] = {}
 
-    workers = worker_count()
-    if workers > 1 and len(spec.n_values) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {n: pool.submit(_row_value, spec, basis, n) for n in spec.n_values}
-        for n, fut in futures.items():
-            try:
-                results[n] = fut.result()
-            except Exception as exc:
-                failures[n] = f"{type(exc).__name__}: {exc}"
-    else:
-        for n in spec.n_values:
-            try:
-                results[n] = _row_value(spec, basis, n)
-            except Exception as exc:
-                failures[n] = f"{type(exc).__name__}: {exc}"
+    for n in spec.n_values:
+        try:
+            results[n] = _row_value(spec, basis, n)
+        except Exception as exc:
+            failures[n] = f"{type(exc).__name__}: {exc}"
 
     ns = sorted(results)
     values = [results[n][0] for n in ns]

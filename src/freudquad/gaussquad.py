@@ -41,6 +41,7 @@ class QuadratureRule:
 
 def _newton_polish(basis: FreudBasis, n: int, x: np.ndarray) -> np.ndarray:
     """One Newton step on h_n using the recurrence for h and h'."""
+    # not built on _sweep: the derivative recurrence runs in lockstep with h
     a = basis.coeffs
     h_prev = np.zeros_like(x)
     h_cur = basis.c0 * weight_value(basis.alpha, x)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma, gammaincc
@@ -25,7 +24,6 @@ from .orthopoly import FreudBasis, basis_matrix, mrs_number
 from .spaces import SpaceWeight, lambda_of
 
 __all__ = [
-    "KernelSpec",
     "mehler",
     "sup_envelope_constant",
     "tail_index",
@@ -33,21 +31,6 @@ __all__ = [
 ]
 
 _TAIL_HARD_CAP = 50_000_000
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """A truncated-kernel request: space, starting index, target tail mass."""
-
-    space: SpaceWeight
-    start: int = 0
-    trunc_tol: float = 1e-16
-
-    def __post_init__(self):
-        if self.start < 0:
-            raise ValueError("start must be >= 0")
-        if self.trunc_tol <= 0:
-            raise ValueError("trunc_tol must be > 0")
 
 
 def mehler(t: float, x, y):

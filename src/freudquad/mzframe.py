@@ -13,7 +13,6 @@ which reduce to the Christoffel weights for exact Gauss nodes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .gaussquad import QuadratureRule
 from .kernels import sup_envelope_constant, tail_index
-from .orthopoly import FreudBasis, basis_matrix, mrs_number
+from .orthopoly import FreudBasis, _sweep, basis_matrix, mrs_number
 from .spaces import SpaceWeight, lambda_of
 
 __all__ = [
@@ -210,49 +209,40 @@ def _phi_partial(basis, space, system, start, k_end) -> float:
             f"tail functional needs index {k_end}, capacity {basis.n_max}",
             required=k_end,
         )
-    x = system.nodes
-    tau = system.tau
-    a = basis.coeffs
-    h_prev = np.zeros_like(x)
-    h_cur = basis.c0 * np.exp(-math.pi * np.abs(x) ** basis.alpha)
     lam = np.asarray(lambda_of(space, np.arange(start, k_end + 1)), dtype=float)
-    terms = np.empty(k_end + 1 - start)
-    for k in range(k_end + 1):
-        if k >= start:
-            terms[k - start] = float(np.dot(tau * h_cur, h_cur)) / lam[k - start]
-        if k < k_end:
-            am = a[k - 1] if k >= 1 else 0.0
-            h_prev, h_cur = h_cur, (x * h_cur - am * h_prev) / a[k]
-    return comp_sum(terms)
+    norms = []
+    for k0, H in _sweep(basis, system.nodes, k_end):
+        norms += _tau_norms(system.tau, H[max(start - k0, 0):])
+    return comp_sum(np.array(norms) / lam)
+
+
+def _tau_norms(tau, H) -> list:
+    """||h||_n^2 = sum_x tau(x) h(x)^2 for each row h of H, one dot per row."""
+    return [np.dot(th, h) for th, h in zip(tau * H, H)]
 
 
 def _phi_empirical(basis, space, system, start, tol, block=2048, hard_cap=2_000_000):
     """Sum in blocks until a whole block is below tol * accumulated."""
-    x = system.nodes
-    tau = system.tau
-    a = basis.coeffs
-    h_prev = np.zeros_like(x)
-    h_cur = basis.c0 * np.exp(-math.pi * np.abs(x) ** basis.alpha)
-    acc = []
+    terms = []
     total = 0.0
-    k = 0
-    while k < hard_cap:
-        block_terms = []
-        for _ in range(block):
-            if k >= start:
-                norm_sq = float(np.dot(tau * h_cur, h_cur))
-                block_terms.append(norm_sq / float(lambda_of(space, k)))
-            if k + 1 > basis.n_max:
-                raise CapacityError(
-                    f"empirical tail scan needs index {k + 1}, capacity {basis.n_max}",
-                    required=k + 1,
-                )
-            h_prev, h_cur = h_cur, (x * h_cur - (a[k - 1] if k >= 1 else 0.0) * h_prev) / a[k]
-            k += 1
-        acc.extend(block_terms)
-        total = comp_sum(acc)
-        if block_terms and k > start + block and max(block_terms) < tol * max(total, 1e-300):
-            return total
+    for k0, H in _sweep(basis, system.nodes, basis.n_max, block):
+        if k0 >= hard_cap:
+            break
+        if k0 + block > basis.n_max:
+            raise CapacityError(
+                f"empirical tail scan needs index {basis.n_max + 1}, "
+                f"capacity {basis.n_max}",
+                required=basis.n_max + 1,
+            )
+        lo = max(k0, start)
+        if lo >= k0 + block:
+            continue
+        norms = np.array(_tau_norms(system.tau, H[lo - k0:]))
+        block_terms = norms / lambda_of(space, np.arange(lo, k0 + block))
+        terms.append(block_terms)
+        total += comp_sum(block_terms)
+        if k0 > start and block_terms.max() < tol * max(total, 1e-300):
+            return comp_sum(np.concatenate(terms))
     raise UnboundedTailError(
         f"tail terms did not fall below {tol:.1e} of the accumulated value "
         f"within {hard_cap} indices"

@@ -120,6 +120,7 @@ def _stieltjes_pass(alpha: float, n_max: int, x, w):
     Orthonormalizes x*h_k against h_{k-1} under the supplied reference
     quadrature; returns (c0, a_1..a_{n_max}).
     """
+    # not built on _sweep: this recurrence produces the coefficients it recurs on
     W = np.exp(-math.pi * np.abs(x) ** alpha)
     c0 = 1.0 / math.sqrt(float(np.sum(w * W * W)))
     a = np.zeros(n_max)
@@ -199,6 +200,34 @@ def build_basis(
     )
 
 
+def _sweep(basis: FreudBasis, x, stop: int, block: int = 1024):
+    """Yield ``(k0, H)`` blocks covering h_0(x) .. h_stop(x) in order.
+
+    The one evaluation of the three-term recurrence on the weighted
+    functions, run once from h_0 = c0 * W(x) for an array ``x`` of any
+    shape with at least one axis.  ``H`` has shape ``(b, *x.shape)`` with
+    ``H[j] = h_{k0+j}(x)`` and ``b <= block``; every block is a fresh array.
+    """
+    if stop > basis.n_max:
+        raise CapacityError(
+            f"requested index {stop} exceeds basis capacity {basis.n_max}",
+            required=stop,
+        )
+    x = np.asarray(x, dtype=float)
+    a = [0.0, *basis.coeffs[:stop].tolist()]  # a[k] = a_k, a_0 = 0
+    h_prev = 0.0  # h_{-1}; rows are written in place, no extra row is held
+    for k0 in range(0, stop + 1, block):
+        H = np.empty((min(block, stop + 1 - k0), *x.shape))
+        for k, h in zip(range(k0, stop + 1), H):
+            if k == 0:
+                h[...] = basis.c0 * np.exp(-math.pi * np.abs(x) ** basis.alpha)
+            else:
+                np.divide(x * h_cur - a[k - 1] * h_prev, a[k], h)
+                h_prev = h_cur
+            h_cur = h
+        yield k0, H
+
+
 def basis_matrix(basis: FreudBasis, x, n: int) -> np.ndarray:
     """Values h_0(x) .. h_n(x), shape (n+1, len(x)).
 
@@ -206,19 +235,8 @@ def basis_matrix(basis: FreudBasis, x, n: int) -> np.ndarray:
     because the weight is folded in (far outside the MRS interval the
     values underflow to zero, which is the correct rounded result).
     """
-    if n > basis.n_max:
-        raise CapacityError(
-            f"requested index {n} exceeds basis capacity {basis.n_max}", required=n
-        )
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    H = np.empty((n + 1, x.size))
-    H[0] = basis.c0 * np.exp(-math.pi * np.abs(x) ** basis.alpha)
-    if n >= 1:
-        a = basis.coeffs
-        H[1] = x * H[0] / a[0]
-        for k in range(1, n):
-            H[k + 1] = (x * H[k] - a[k - 1] * H[k - 1]) / a[k]
-    return H
+    return next(_sweep(basis, x, n, block=n + 1))[1]
 
 
 def eval_basis(basis: FreudBasis, x: float, n: int) -> np.ndarray:

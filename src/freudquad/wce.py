@@ -27,7 +27,7 @@ import numpy as np
 from ._accum import comp_sum
 from .errors import CapacityError
 from .kernels import sup_envelope_constant, tail_index
-from .orthopoly import FreudBasis
+from .orthopoly import FreudBasis, _sweep, build_basis
 from .spaces import SpaceWeight, lambda_of
 
 __all__ = [
@@ -138,20 +138,13 @@ def wce_series(
         )
 
     lam = np.asarray(lambda_of(space, np.arange(start, K + 1)), dtype=float)
-    a = basis.coeffs
-    h_prev = np.zeros_like(nodes)
-    h_cur = basis.c0 * np.exp(-math.pi * np.abs(nodes) ** basis.alpha)
-    terms = np.empty(K + 1 - start)
-    for k in range(K + 1):
-        if k >= start:
-            e = float(np.dot(omega, h_cur))
-            if k == 0:
-                e -= 1.0 / basis.c0  # integral of h_0 W; zero for k >= 1
-            terms[k - start] = e * e / lam[k - start]
-        if k < K:
-            am = a[k - 1] if k >= 1 else 0.0
-            h_prev, h_cur = h_cur, (nodes * h_cur - am * h_prev) / a[k]
-    return comp_sum(terms)
+    sq = []
+    for k0, H in _sweep(basis, nodes, K):
+        e = np.array([np.dot(omega, h) for h in H[max(start - k0, 0):]])
+        if k0 == start == 0:
+            e[0] -= 1.0 / basis.c0  # integral of h_0 W; zero for k >= 1
+        sq.append(e * e)
+    return comp_sum(np.concatenate(sq) / lam)
 
 
 def series_truncation(
@@ -163,6 +156,31 @@ def series_truncation(
         lambda_of(space, start)
     )
     return tail_index(space, start, tol * first, alpha, sup_const)
+
+
+# Polynomial coefficient weights decay too slowly for the envelope-based
+# auto-truncation, so their series are cut at this fixed recorded depth.
+_POLY_DEPTH = 40_000
+
+
+def _series_depth(space: SpaceWeight, k_max: int | None = None) -> int | None:
+    """Fixed series depth: ``k_max`` when given, the polynomial depth for
+    polynomial weights, otherwise None (envelope truncation)."""
+    if k_max is None and space.kind in ("poly", "mod-poly"):
+        return _POLY_DEPTH
+    return k_max
+
+
+def _series_capacity(
+    space: SpaceWeight, start: int, tol: float, alpha: float, k_max: int | None
+) -> int:
+    """Basis capacity for series rows starting at or below ``start``: the
+    fixed depth, or the truncation index ``wce_series`` picks at ``start``
+    (plus a margin of four)."""
+    if k_max is not None:
+        return k_max
+    sup = sup_envelope_constant(build_basis(alpha, 512))
+    return series_truncation(space, start, tol, alpha, sup) + 4
 
 
 def wce_bound(phi: float, a_n: float) -> float:

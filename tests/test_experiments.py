@@ -1,10 +1,17 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from freudquad import FIGURE_IDS, figure_spec, run_figure
-from freudquad.experiments import worker_count
+
+# to_csv() of every figure at n = 3, 5, 7, recorded with rows run one after
+# another; any change to these bytes is a change in the reported results
+GOLDEN_CSV = json.loads(
+    (Path(__file__).parent / "data" / "figures_n3_5_7.json").read_text()
+)
 
 
 class TestFigureSpec:
@@ -74,7 +81,6 @@ class TestRunFigure:
             return real(spec, basis, n)
 
         monkeypatch.setattr(exp, "_row_value", flaky)
-        monkeypatch.setenv("FREUDQ_THREADS", "1")
         table = run_figure("fig3b", n_values=(3, 13, 17), k_max=2_000)
         assert table.params["failures"] == {"13": "RuntimeError: synthetic row failure"}
         assert table.ns == (3, 17)
@@ -89,20 +95,6 @@ class TestRunFigure:
         )
 
 
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("FREUDQ_THREADS", "1")
-        assert worker_count() == 1
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("FREUDQ_THREADS", "lots")
-        with pytest.raises(ValueError):
-            worker_count()
-
-    def test_sequential_matches_parallel(self, monkeypatch):
-        spec = figure_spec("fig1a", n_values=(3, 5, 7, 9))
-        monkeypatch.setenv("FREUDQ_THREADS", "1")
-        seq = run_figure(spec)
-        monkeypatch.setenv("FREUDQ_THREADS", "4")
-        par = run_figure(spec)
-        assert seq.wce == par.wce
+@pytest.mark.parametrize("fid", FIGURE_IDS)
+def test_golden_csv_bytes(fid):
+    assert run_figure(fid, n_values=(3, 5, 7)).to_csv() == GOLDEN_CSV[fid]

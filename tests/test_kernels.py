@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freudquad import (
-    KernelSpec,
     SpaceWeight,
     UnboundedTailError,
     basis_matrix,
@@ -17,16 +16,6 @@ from freudquad import (
     truncated_kernel,
 )
 
-
-class TestKernelSpec:
-    def test_validation(self):
-        space = SpaceWeight.polynomial(3.0)
-        spec = KernelSpec(space, start=4, trunc_tol=1e-12)
-        assert spec.start == 4
-        with pytest.raises(ValueError):
-            KernelSpec(space, start=-1)
-        with pytest.raises(ValueError):
-            KernelSpec(space, trunc_tol=0.0)
 
 PI = math.pi
 

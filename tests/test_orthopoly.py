@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from freudquad import (
     mrs_number,
     weight_value,
 )
+from freudquad.orthopoly import _sweep
 
 PI = math.pi
 
@@ -172,3 +174,66 @@ class TestEvalBasis:
         plus = eval_basis(basis2, x, k)[k]
         minus = eval_basis(basis2, -x, k)[k]
         assert minus == pytest.approx((-1.0) ** k * plus, abs=1e-13)
+
+
+def _loop_matrix(basis, x, n):
+    """The recurrence written out row by row: the reference for the sweep."""
+    H = np.empty((n + 1, x.size))
+    H[0] = basis.c0 * np.exp(-PI * np.abs(x) ** basis.alpha)
+    if n >= 1:
+        a = basis.coeffs
+        H[1] = x * H[0] / a[0]
+        for k in range(1, n):
+            H[k + 1] = (x * H[k] - a[k - 1] * H[k - 1]) / a[k]
+    return H
+
+
+class TestSweep:
+    XS = np.array([-3.1, -0.7, 0.0, 0.45, 1.3, 2.9, 6.0])
+
+    def _blocks(self, basis, x, stop, block):
+        blocks = list(_sweep(basis, x, stop, block))
+        assert [k0 for k0, _ in blocks] == list(range(0, stop + 1, block))
+        assert all(H.shape[1:] == x.shape and len(H) <= block for _, H in blocks)
+        return np.concatenate([H for _, H in blocks])
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_concatenate_to_basis_matrix(self, basis2, basis4, block):
+        for basis in (basis2, basis4):
+            stop = 40
+            got = self._blocks(basis, self.XS, stop, block)
+            assert np.array_equal(got, basis_matrix(basis, self.XS, stop))
+
+    def test_basis_matrix_matches_loop(self, basis2, basis4):
+        for basis in (basis2, basis4):
+            assert np.array_equal(
+                basis_matrix(basis, self.XS, 40), _loop_matrix(basis, self.XS, 40)
+            )
+
+    def test_stop_zero(self, basis2):
+        for block in (1, 7):
+            got = self._blocks(basis2, self.XS, 0, block)
+            assert got.shape == (1, self.XS.size)
+            assert np.array_equal(got, basis_matrix(basis2, self.XS, 0))
+
+    def test_two_dimensional_x(self, basis2):
+        x = self.XS[:6].reshape(2, 3)
+        got = self._blocks(basis2, x, 25, 7)
+        assert got.shape == (26, 2, 3)
+        ref = basis_matrix(basis2, x.ravel(), 25).reshape(26, 2, 3)
+        assert np.array_equal(got, ref)
+
+    def test_basis_matrix_allocates_one_matrix(self, basis2):
+        x = np.linspace(-5.0, 5.0, 4000)
+        tracemalloc.start()
+        try:
+            H = basis_matrix(basis2, x, 400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * H.nbytes
+
+    def test_capacity_error(self, basis2):
+        with pytest.raises(CapacityError) as exc:
+            next(_sweep(basis2, self.XS, basis2.n_max + 1))
+        assert exc.value.required == basis2.n_max + 1
