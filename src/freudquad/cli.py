@@ -36,9 +36,9 @@ from .wce import (
     WCETable,
     _series_capacity,
     _series_depth,
+    _wce_series_rows,
     tensor_wce,
     wce_me2,
-    wce_series,
 )
 
 _SPACE_NAMES = ("hs", "epq", "ms", "mse", "mse2")
@@ -173,20 +173,20 @@ def _cmd_wce(args) -> int:
         k_max = _series_depth(space, args.k_max)
         cap = _series_capacity(space, 2 * max(ns), args.trunc_tol, args.alpha, k_max)
         basis = build_basis(args.alpha, max(cap, max(ns) + 1))
-        values, params = [], {
+        params = {
             "space": label, "alpha": args.alpha, "seed": args.seed,
             "trunc_tol": args.trunc_tol, **space.describe(),
         }
         if k_max is not None:
             params["k_max"] = k_max
+        rows = []
         for n in ns:
             rule = gauss_rule(basis, n)
-            values.append(
-                wce_series(
-                    rule.nodes, rule.omega, basis, space, start=2 * n,
-                    tol=args.trunc_tol, k_max=k_max,
-                )
-            )
+            rows.append((rule.nodes, rule.omega, 2 * n))
+        values = _wce_series_rows(rows, basis, space, args.trunc_tol, k_max)
+        for value in values:
+            if isinstance(value, Exception):
+                raise value
         axis = "sqrt-n" if space.kind in ("exp", "mod-exp") else "log-n"
     if args.dim > 1:
         # tensor extension: per-coordinate squared error lifts exactly

@@ -10,6 +10,11 @@ Each figure id fixes a rule family, a space, an n-range and a fit axis:
                  series route from k = n+1; sqrt-exponential s = 1/2
                  against sqrt(n), and polynomial s = 1 and 2/3 against
                  log10(n).
+
+The series rows of a figure share one basis sweep over their
+concatenated nodes; each row is prepared on its own first (rule,
+perturbation, system), so a failure there or at the sweep's capacity
+marks that row alone.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .gaussquad import gauss_rule
 from .mzframe import build_system, generalized_weights, perturb_nodes, support_check
 from .orthopoly import build_basis
 from .spaces import SpaceWeight
-from .wce import WCETable, _series_capacity, _series_depth, wce_me2, wce_series
+from .wce import WCETable, _series_capacity, _series_depth, _wce_series_rows, wce_me2
 
 __all__ = ["FigureSpec", "figure_spec", "run_figure", "FIGURE_IDS"]
 
@@ -119,19 +124,12 @@ def _required_capacity(spec: FigureSpec) -> int:
     return _series_capacity(spec.space(), start, spec.trunc_tol, 2.0, spec.k_max)
 
 
-def _row_value(spec: FigureSpec, basis, n: int) -> tuple[float, dict]:
-    info: dict = {}
-    if spec.id in ("fig1a", "fig1b"):
-        rule = gauss_rule(basis, n)
-        return wce_me2(rule.nodes, rule.omega, spec.t), info
-
+def _series_row(spec: FigureSpec, basis, n: int) -> tuple[tuple, dict]:
+    """Series-route row n of a fig2/fig3 spec: the ``(nodes, omega, start)``
+    triple its worst-case error is summed over, plus its system report."""
     if spec.id.startswith("fig2"):
         rule = gauss_rule(basis, n)
-        value = wce_series(
-            rule.nodes, rule.omega, basis, spec.space(), start=2 * n,
-            tol=spec.trunc_tol, k_max=spec.k_max,
-        )
-        return value, info
+        return (rule.nodes, rule.omega, 2 * n), {}
 
     # fig3: system of order n on n+1 perturbed nodes
     rule = gauss_rule(basis, n + 1)
@@ -146,11 +144,7 @@ def _row_value(spec: FigureSpec, basis, n: int) -> tuple[float, dict]:
         "min_omega": float(np.min(omega)),
         "support_ok": support_check(nodes, basis.alpha, n + 1, L=3.0),
     }
-    value = wce_series(
-        nodes, omega, basis, spec.space(), start=n + 1,
-        tol=spec.trunc_tol, k_max=spec.k_max,
-    )
-    return value, info
+    return (nodes, omega, n + 1), info
 
 
 def run_figure(spec: FigureSpec | str, **overrides) -> WCETable:
@@ -166,19 +160,35 @@ def run_figure(spec: FigureSpec | str, **overrides) -> WCETable:
         spec = replace(spec, **overrides)
 
     basis = build_basis(2.0, _required_capacity(spec))
-    results: dict[int, tuple[float, dict]] = {}
-    failures: dict[int, str] = {}
+    space = spec.space()
+    values: dict[int, float] = {}
+    row_info: dict[int, dict] = {}
+    errors: dict[int, Exception] = {}
+    rows: dict[int, tuple] = {}
 
     for n in spec.n_values:
         try:
-            results[n] = _row_value(spec, basis, n)
+            if space is None:
+                rule = gauss_rule(basis, n)
+                values[n] = wce_me2(rule.nodes, rule.omega, spec.t)
+            else:
+                rows[n], info = _series_row(spec, basis, n)
+                if info:
+                    row_info[n] = info
         except Exception as exc:
-            failures[n] = f"{type(exc).__name__}: {exc}"
+            errors[n] = exc
 
-    ns = sorted(results)
-    values = [results[n][0] for n in ns]
-    row_info = {n: results[n][1] for n in ns if results[n][1]}
+    # every surviving series row shares one basis sweep
+    series = _wce_series_rows(
+        list(rows.values()), basis, space, spec.trunc_tol, spec.k_max
+    )
+    for n, value in zip(rows, series):
+        if isinstance(value, Exception):
+            errors[n] = value
+        else:
+            values[n] = value
 
+    ns = sorted(values)
     params = {
         "figure": spec.id,
         "space": _space_label(spec),
@@ -195,13 +205,18 @@ def run_figure(spec: FigureSpec | str, **overrides) -> WCETable:
         params.update(eps=spec.eps, sign_mode=spec.sign_mode)
     if spec.k_max is not None:
         params["k_max"] = spec.k_max
-    if row_info:
-        params["systems"] = {str(n): row_info[n] for n in row_info}
-    if failures:
-        params["failures"] = {str(n): failures[n] for n in failures}
+    systems = {str(n): row_info[n] for n in ns if n in row_info}
+    if systems:
+        params["systems"] = systems
+    if errors:
+        params["failures"] = {
+            str(n): f"{type(errors[n]).__name__}: {errors[n]}"
+            for n in spec.n_values if n in errors
+        }
 
     return WCETable.from_rows(
-        params, ns, values, axis=spec.axis, theory_slope=_theory_slope(spec)
+        params, ns, [values[n] for n in ns], axis=spec.axis,
+        theory_slope=_theory_slope(spec),
     )
 
 

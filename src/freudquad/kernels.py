@@ -13,7 +13,6 @@ constant is measured at startup (the theory provides only its existence).
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 from scipy.special import gamma, gammaincc
@@ -53,7 +52,6 @@ def mehler(t: float, x, y):
 
 
 _sup_cache: dict[tuple[float, int], float] = {}
-_sup_lock = threading.Lock()
 
 
 def sup_envelope_constant(basis: FreudBasis, k_cap: int = 512, safety: float = 4.0) -> float:
@@ -64,9 +62,8 @@ def sup_envelope_constant(basis: FreudBasis, k_cap: int = 512, safety: float = 4
     essential support, times a safety factor.  Cached per (alpha, n_max).
     """
     key = (round(float(basis.alpha), 12), min(k_cap, basis.n_max))
-    with _sup_lock:
-        if key in _sup_cache:
-            return _sup_cache[key]
+    if key in _sup_cache:
+        return _sup_cache[key]
     kmax = min(k_cap, basis.n_max)
     R = 1.25 * mrs_number(basis.alpha, max(kmax, 1))
     grid = np.linspace(-R, R, 2001)
@@ -74,8 +71,7 @@ def sup_envelope_constant(basis: FreudBasis, k_cap: int = 512, safety: float = 4
     k = np.arange(1, kmax + 1, dtype=float)
     envelope = (H[1:] ** 2).max(axis=1) * k ** (1.0 / basis.alpha - 1.0 / 3.0)
     value = safety * float(envelope.max())
-    with _sup_lock:
-        _sup_cache.setdefault(key, value)
+    _sup_cache[key] = value
     return value
 
 

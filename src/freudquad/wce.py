@@ -25,7 +25,7 @@ import mpmath as mp
 import numpy as np
 
 from ._accum import comp_sum
-from .errors import CapacityError
+from .errors import CapacityError, FreudQuadError
 from .kernels import sup_envelope_constant, tail_index
 from .orthopoly import FreudBasis, _sweep, build_basis
 from .spaces import SpaceWeight, lambda_of
@@ -114,37 +114,78 @@ def wce_series(
     envelope tail bound at ``tol`` relative to the first retained
     envelope term.  For a rule exact on the first 2n modes, starting at
     0 or at 2n gives the same value; the sum-of-squares form is
-    nonnegative by construction and needs one basis sweep per k.
+    nonnegative by construction.  One basis sweep over the nodes yields
+    every h_k up to the truncation index, and each e_k is one dot
+    product with omega.
     """
-    if start < 0:
-        raise ValueError("start must be >= 0")
-    nodes = np.asarray(nodes, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if nodes.shape != omega.shape or nodes.ndim != 1:
-        raise ValueError("nodes and omega must be 1-D arrays of equal length")
+    (value,) = _wce_series_rows([(nodes, omega, start)], basis, space, tol, k_max)
+    if isinstance(value, Exception):
+        raise value
+    return value
 
-    if k_max is None:
-        K = series_truncation(
-            space, start, tol, basis.alpha, sup_envelope_constant(basis)
-        )
-    else:
-        K = k_max
-    if K < start:
-        return 0.0
-    if K > basis.n_max:
-        raise CapacityError(
-            f"series truncation needs index {K}, basis capacity is {basis.n_max}",
-            required=K,
-        )
 
-    lam = np.asarray(lambda_of(space, np.arange(start, K + 1)), dtype=float)
-    sq = []
-    for k0, H in _sweep(basis, nodes, K):
-        e = np.array([np.dot(omega, h) for h in H[max(start - k0, 0):]])
-        if k0 == start == 0:
-            e[0] -= 1.0 / basis.c0  # integral of h_0 W; zero for k >= 1
-        sq.append(e * e)
-    return comp_sum(np.concatenate(sq) / lam)
+def _wce_series_rows(
+    rows, basis: FreudBasis, space: SpaceWeight, tol: float = 1e-16,
+    k_max: int | None = None,
+) -> list:
+    """``wce_series`` for several rules at once, in one basis sweep.
+
+    ``rows`` holds ``(nodes, omega, start)`` triples.  The sweep runs over
+    the concatenated node sets up to the largest truncation index; each
+    row reads its own columns between its own ``start`` and index, with
+    the same per-mode dot product as a row on its own, so every value is
+    bit-identical to a ``wce_series`` call.  Returns one entry per row:
+    the value, or the ``ValueError``/``FreudQuadError`` that row raised
+    (bad input, truncation, capacity), which fails that row alone.
+    """
+    results: list = [None] * len(rows)
+    live = []  # (slot, omega, start, K, lam, column offset, squared errors)
+    xs = []
+    offset = 0
+    for slot, (nodes, omega, start) in enumerate(rows):
+        try:
+            if start < 0:
+                raise ValueError("start must be >= 0")
+            nodes = np.asarray(nodes, dtype=float)
+            omega = np.asarray(omega, dtype=float)
+            if nodes.shape != omega.shape or nodes.ndim != 1:
+                raise ValueError("nodes and omega must be 1-D arrays of equal length")
+            if k_max is None:
+                K = series_truncation(
+                    space, start, tol, basis.alpha, sup_envelope_constant(basis)
+                )
+            else:
+                K = k_max
+            if K < start:
+                results[slot] = 0.0
+                continue
+            if K > basis.n_max:
+                raise CapacityError(
+                    f"series truncation needs index {K}, basis capacity is {basis.n_max}",
+                    required=K,
+                )
+            lam = np.asarray(lambda_of(space, np.arange(start, K + 1)), dtype=float)
+        except (ValueError, FreudQuadError) as exc:
+            results[slot] = exc
+            continue
+        live.append((slot, omega, start, K, lam, offset, []))
+        xs.append(nodes)
+        offset += nodes.size
+    if not live:
+        return results
+
+    for k0, H in _sweep(basis, np.concatenate(xs), max(row[3] for row in live)):
+        for _, omega, start, K, _, off, sq in live:
+            lo, hi = max(start - k0, 0), min(K + 1 - k0, len(H))
+            if lo >= hi:
+                continue
+            e = np.array([omega.dot(h) for h in H[lo:hi, off:off + omega.size]])
+            if k0 == start == 0:
+                e[0] -= 1.0 / basis.c0  # integral of h_0 W; zero for k >= 1
+            sq.append(e * e)
+    for slot, _, _, _, lam, _, sq in live:
+        results[slot] = comp_sum(np.concatenate(sq) / lam)
+    return results
 
 
 def series_truncation(

@@ -1,9 +1,16 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from freudquad.cli import main
+
+# CSV stdout of two series-route ``freudq wce`` tables; any change to these
+# bytes is a change in the reported results
+GOLDEN_WCE = json.loads(
+    (Path(__file__).parent / "data" / "cli_wce_n3_9.json").read_text()
+)
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +132,12 @@ class TestWce:
         v1 = json.loads(base)["rows"][0][1]
         v2 = json.loads(lifted)["rows"][0][1]
         assert v2 == pytest.approx(tensor_wce(v1, 2.0 ** -0.25, 1.25, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_WCE))
+    def test_golden_csv_bytes(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert out == GOLDEN_WCE[command]
 
 
 class TestPerturb:

@@ -73,17 +73,31 @@ class TestRunFigure:
     def test_failed_rows_are_marked_not_dropped(self, monkeypatch):
         import freudquad.experiments as exp
 
-        real = exp._row_value
+        real = exp._series_row
 
         def flaky(spec, basis, n):
             if n == 13:
                 raise RuntimeError("synthetic row failure")
             return real(spec, basis, n)
 
-        monkeypatch.setattr(exp, "_row_value", flaky)
+        monkeypatch.setattr(exp, "_series_row", flaky)
         table = run_figure("fig3b", n_values=(3, 13, 17), k_max=2_000)
         assert table.params["failures"] == {"13": "RuntimeError: synthetic row failure"}
         assert table.ns == (3, 17)
+
+    def test_over_capacity_row_fails_alone(self, monkeypatch):
+        import freudquad.experiments as exp
+
+        # the capacity is sized as the top row's truncation index plus 4
+        real = exp._required_capacity
+        monkeypatch.setattr(exp, "_required_capacity", lambda spec: real(spec) - 5)
+        table = run_figure("fig2a", n_values=(3, 5, 7))
+        assert table.ns == (3, 5)
+        assert table.params["failures"]["7"].startswith(
+            "CapacityError: series truncation needs index"
+        )
+        monkeypatch.undo()
+        assert table.wce == run_figure("fig2a", n_values=(3, 5)).wce
 
     def test_theory_slopes(self):
         assert run_figure("fig1a", n_values=(3, 5, 7)).theory_slope == pytest.approx(

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freudquad import (
+    CapacityError,
     SpaceWeight,
     WCETable,
     basis_matrix,
+    build_basis,
     gauss_rule,
     slope_fit,
     tensor_wce,
@@ -16,6 +18,7 @@ from freudquad import (
     wce_me2,
     wce_series,
 )
+from freudquad.wce import _wce_series_rows
 
 PI = math.pi
 
@@ -99,6 +102,68 @@ class TestWceSeries:
         space = SpaceWeight.polynomial(2.0)
         assert wce_series(rule.nodes, rule.omega, basis2, space, start=14,
                           k_max=400) >= 0.0
+
+
+class TestWceSeriesRows:
+    """One sweep over several rules gives exactly one wce_series call per rule."""
+
+    @staticmethod
+    def rows(basis):
+        # node counts 3, 8 and 5; the last row moves its nodes off the Gauss
+        # nodes (so it is not exact) and starts at 0, where the h_0 integral
+        # is subtracted
+        g3, g8, g5 = (gauss_rule(basis, n) for n in (3, 8, 5))
+        return [
+            (g3.nodes, g3.omega, 6),
+            (g8.nodes, g8.omega, 16),
+            (1.01 * g5.nodes, g5.omega, 0),
+        ]
+
+    @staticmethod
+    def assert_matches_single(rows, basis, space, k_max=None):
+        batched = _wce_series_rows(rows, basis, space, 1e-16, k_max)
+        assert len(batched) == len(rows)
+        for got, (nodes, omega, start) in zip(batched, rows):
+            try:
+                want = wce_series(nodes, omega, basis, space, start, k_max=k_max)
+            except CapacityError as exc:
+                assert type(got) is CapacityError
+                assert str(got) == str(exc)
+            else:
+                assert got == want
+        return batched
+
+    def test_fixed_depth_across_blocks(self, basis2_deep):
+        # k_max = 2500 crosses the block boundaries at 1024 and 2048; the
+        # last row starts past k_max and contributes no modes
+        rows = self.rows(basis2_deep)
+        rows.append((rows[0][0], rows[0][1], 3000))
+        values = self.assert_matches_single(
+            rows, basis2_deep, SpaceWeight.polynomial(3.0), k_max=2500
+        )
+        assert all(v > 0.0 for v in values[:3])
+        assert values[3] == 0.0
+
+    def test_envelope_truncation(self, basis2_deep):
+        # each row has its own truncation index, all above 5000
+        values = self.assert_matches_single(
+            self.rows(basis2_deep), basis2_deep, SpaceWeight.mod_exp(1.0)
+        )
+        assert all(v > 0.0 for v in values)
+
+    def test_one_row(self, basis2):
+        rows = self.rows(basis2)[1:2]
+        self.assert_matches_single(rows, basis2, SpaceWeight.polynomial(2.0), k_max=400)
+
+    def test_over_capacity_row_fails_alone(self):
+        # at t = 5/4 the truncation index is 168..186 for starts 0..16 and
+        # 211 for start 40, past the capacity of 200
+        basis = build_basis(2.0, 200)
+        rows = self.rows(basis)
+        rows.insert(1, (rows[0][0], rows[0][1], 40))
+        values = self.assert_matches_single(rows, basis, geometric_space(1.25))
+        assert isinstance(values[1], CapacityError)
+        assert all(isinstance(v, float) and v > 0.0 for v in values[:1] + values[2:])
 
 
 class TestWceBound:
