@@ -9,6 +9,10 @@ Subcommands::
     figure   reproduce one of the documented experiments
     check    run the quick invariant suite
 
+``wce`` and ``figure`` build their tables through the same pipeline
+(``experiments._table_rows``): ``wce`` scores Gauss rules on the named
+space, ``figure`` the documented rule families.
+
 Exit codes: 0 success, 1 usage/validation error, 2 numerical failure.
 All CSV output is UTF-8, comma-separated, LF line endings, one header
 row, 17 significant digits.
@@ -20,49 +24,29 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import FreudQuadError
-from .experiments import FIGURE_IDS, figure_spec, run_figure
+from .experiments import FIGURE_IDS, FigureSpec, _table_rows, figure_spec, run_figure
 from .gaussquad import gauss_rule
 from .kernels import mehler
 from .mzframe import build_system, generalized_weights, perturb_nodes, support_check
 from .orthopoly import basis_matrix, build_basis
-from .spaces import SpaceWeight, lambda_of
-from .wce import (
-    WCETable,
-    _series_capacity,
-    _series_depth,
-    _wce_series_rows,
-    tensor_wce,
-    wce_me2,
-)
+from .spaces import lambda_of
+from .wce import WCETable, tensor_wce
 
-_SPACE_NAMES = ("hs", "epq", "ms", "mse", "mse2")
+# CLI space names -> SpaceWeight kinds
+_SPACE_KINDS = {
+    "hs": "poly", "epq": "exp", "ms": "mod-poly", "mse": "mod-exp", "mse2": "mod-exp2",
+}
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _space_from_args(args) -> SpaceWeight:
-    name = args.space
-    if name == "hs":
-        return SpaceWeight.polynomial(args.s)
-    if name == "epq":
-        if args.p is None or args.q is None:
-            raise ValueError("--space epq needs --p and --q")
-        return SpaceWeight.exponential(args.p, args.q)
-    if name == "ms":
-        return SpaceWeight.mod_poly(args.s)
-    if name == "mse":
-        return SpaceWeight.mod_exp(args.s)
-    if name == "mse2":
-        return SpaceWeight.mod_exp2(args.s)
-    raise ValueError(f"unknown space {name!r}")
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -156,46 +140,38 @@ def _cmd_wce(args) -> int:
         if args.t <= 1:
             raise ValueError("--t must exceed 1")
         args.s = math.pi * (1.0 - 1.0 / args.t)
-    space = _space_from_args(args)
-    label = args.space
-    if args.space == "mse2" and args.alpha == 2.0:
-        t = math.pi / (math.pi - args.s)
-        values, params = [], {
-            "space": label, "alpha": args.alpha, "s": args.s, "t": t,
-            "seed": args.seed, "trunc_tol": args.trunc_tol,
-        }
-        basis = build_basis(args.alpha, max(ns) + 1)
-        for n in ns:
-            rule = gauss_rule(basis, n)
-            values.append(wce_me2(rule.nodes, rule.omega, t))
-        axis = "n"
+    kind = _SPACE_KINDS[args.space]
+    weight = {k: getattr(args, k) for k in (("p", "q") if kind == "exp" else ("s",))}
+    if None in weight.values():
+        raise ValueError("--space epq needs --p and --q")
+    spec = FigureSpec(
+        id="wce", n_values=tuple(ns), seed=args.seed, space_kind=kind, **weight,
+        trunc_tol=args.trunc_tol, k_max=args.k_max, alpha=args.alpha,
+    )
+    if kind == "mod-exp2" and args.alpha == 2.0:
+        # the geometric family at alpha = 2 takes the closed-form kernel route
+        spec = replace(spec, t=math.pi / (math.pi - args.s))
+    basis, rows, _, errors = _table_rows(spec)
+    if errors:
+        raise next(iter(errors.values()))  # the first row that failed
+    values = [rows[n] for n in ns]
+
+    params = {"space": args.space, "alpha": args.alpha}
+    if spec.t is not None:
+        params.update(s=args.s, t=spec.t, seed=args.seed, trunc_tol=args.trunc_tol)
     else:
-        k_max = _series_depth(space, args.k_max)
-        cap = _series_capacity(space, 2 * max(ns), args.trunc_tol, args.alpha, k_max)
-        basis = build_basis(args.alpha, max(cap, max(ns) + 1))
-        params = {
-            "space": label, "alpha": args.alpha, "seed": args.seed,
-            "trunc_tol": args.trunc_tol, **space.describe(),
-        }
-        if k_max is not None:
-            params["k_max"] = k_max
-        rows = []
-        for n in ns:
-            rule = gauss_rule(basis, n)
-            rows.append((rule.nodes, rule.omega, 2 * n))
-        values = _wce_series_rows(rows, basis, space, args.trunc_tol, k_max)
-        for value in values:
-            if isinstance(value, Exception):
-                raise value
-        axis = "sqrt-n" if space.kind in ("exp", "mod-exp") else "log-n"
+        params.update(
+            seed=args.seed, trunc_tol=args.trunc_tol, **spec.space().describe()
+        )
+        if spec.k_max is not None:
+            params["k_max"] = spec.k_max
     if args.dim > 1:
         # tensor extension: per-coordinate squared error lifts exactly
-        c = 1.0 / build_basis(args.alpha, 1).c0
-        lam0 = float(lambda_of(space, 0))
-        values = [tensor_wce(v, c, lam0, args.dim) for v in values]
+        lam0 = float(lambda_of(spec.space(), 0))
+        values = [tensor_wce(v, 1.0 / basis.c0, lam0, args.dim) for v in values]
         params["dim"] = args.dim
-    table = WCETable.from_rows(params, ns, values, axis=axis)
-    _emit_table(table, args, f"wce_{label}")
+    table = WCETable.from_rows(params, ns, values, axis=spec.axis)
+    _emit_table(table, args, f"wce_{args.space}")
     return 0
 
 
@@ -326,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wce", help="worst-case-error table for Gauss rules")
     common(p)
-    p.add_argument("--space", choices=_SPACE_NAMES, required=True)
+    p.add_argument("--space", choices=_SPACE_KINDS, required=True)
     p.add_argument("--n-range", default="3:21:2")
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--p", type=float, default=None)

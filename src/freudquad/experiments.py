@@ -1,6 +1,7 @@
 """End-to-end error-decay experiments (the three figure families).
 
-Each figure id fixes a rule family, a space, an n-range and a fit axis:
+Each figure id fixes a rule family, a space and an n-range; the fit axis
+follows from the space:
 
     fig1a/fig1b  Gauss rules, geometric decay t = 5/4 and 50/49,
                  closed-form kernel route, log10(wce) against n.
@@ -11,10 +12,12 @@ Each figure id fixes a rule family, a space, an n-range and a fit axis:
                  against sqrt(n), and polynomial s = 1 and 2/3 against
                  log10(n).
 
-The series rows of a figure share one basis sweep over their
-concatenated nodes; each row is prepared on its own first (rule,
-perturbation, system), so a failure there or at the sweep's capacity
-marks that row alone.
+``freudq figure`` and ``freudq wce`` build their rows through one
+pipeline (``_table_rows``): one basis at the capacity of the largest row,
+each row prepared on its own (rule, perturbation, system), kernel rows
+through ``wce_me2`` and all series rows through one basis sweep over
+their concatenated nodes.  A failure in preparation or at the sweep's
+capacity marks that row alone.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ import numpy as np
 
 from .gaussquad import gauss_rule
 from .mzframe import build_system, generalized_weights, perturb_nodes, support_check
+from .kernels import sup_envelope_constant
 from .orthopoly import build_basis
 from .spaces import SpaceWeight
-from .wce import WCETable, _series_capacity, _series_depth, _wce_series_rows, wce_me2
+from .wce import WCETable, _wce_series_rows, series_truncation, wce_me2
 
 __all__ = ["FigureSpec", "figure_spec", "run_figure", "FIGURE_IDS"]
 
@@ -36,50 +40,60 @@ _LOG10_E = math.log10(math.e)
 
 FIGURE_IDS = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3a", "fig3b", "fig3c")
 
+# Polynomial coefficient weights decay too slowly for the envelope-based
+# auto-truncation, so their series are cut at this fixed recorded depth.
+_POLY_DEPTH = 40_000
+
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """Fully resolved parameters of one experiment run."""
+    """Fully resolved parameters of one error-decay table: ``t`` set means
+    the closed-form kernel route, ``eps`` set means shifted rules."""
 
     id: str
     n_values: tuple
-    axis: str
     seed: int = 7
-    t: float | None = None            # fig1: geometric decay parameter
-    s: float | None = None            # fig2/fig3: space parameter
+    t: float | None = None            # kernel route: geometric decay parameter
+    s: float | None = None            # series route: space parameters
     space_kind: str | None = None
-    eps: float | None = None          # fig3: perturbation magnitude
+    eps: float | None = None          # shifted rules: perturbation magnitude
     sign_mode: str = "positive"
     trunc_tol: float = 1e-16
-    k_max: int | None = None          # fixed series depth (fig3b/c by default)
+    k_max: int | None = None          # fixed series depth (polynomial weights by default)
+    alpha: float = 2.0
+    p: float | None = None
+    q: float | None = None
+
+    def __post_init__(self):
+        if self.space_kind is not None:
+            space = self.space()  # validates the weight parameters
+            if self.k_max is None and space.kind in ("poly", "mod-poly"):
+                object.__setattr__(self, "k_max", _POLY_DEPTH)
 
     def space(self) -> SpaceWeight | None:
         if self.space_kind is None:
             return None
-        if self.space_kind == "poly":
-            return SpaceWeight.polynomial(self.s)
-        if self.space_kind == "mod-exp":
-            return SpaceWeight.mod_exp(self.s)
-        raise ValueError(f"unsupported space kind {self.space_kind!r}")
+        return SpaceWeight(self.space_kind, s=self.s, p=self.p, q=self.q)
+
+    @property
+    def axis(self) -> str:
+        """Slope-fit abscissa: n, sqrt(n) for exponential weights, log10(n)."""
+        if self.t is not None:
+            return "n"
+        return "sqrt-n" if self.space_kind in ("exp", "mod-exp") else "log-n"
 
 
 _ODD_3_41 = tuple(range(3, 42, 2))
 _ODD_3_21 = tuple(range(3, 22, 2))
 
 _DEFAULTS = {
-    "fig1a": dict(n_values=_ODD_3_41, axis="n", t=1.25),
-    "fig1b": dict(n_values=_ODD_3_41, axis="n", t=50.0 / 49.0),
-    "fig2a": dict(n_values=_ODD_3_21, axis="sqrt-n", s=1.0, space_kind="mod-exp"),
-    "fig2b": dict(n_values=_ODD_3_21, axis="sqrt-n", s=0.5, space_kind="mod-exp"),
-    "fig3a": dict(
-        n_values=_ODD_3_21, axis="sqrt-n", s=0.5, space_kind="mod-exp", eps=0.1
-    ),
-    "fig3b": dict(
-        n_values=_ODD_3_21, axis="log-n", s=1.0, space_kind="poly", eps=0.1
-    ),
-    "fig3c": dict(
-        n_values=_ODD_3_21, axis="log-n", s=2.0 / 3.0, space_kind="poly", eps=0.1
-    ),
+    "fig1a": dict(n_values=_ODD_3_41, t=1.25),
+    "fig1b": dict(n_values=_ODD_3_41, t=50.0 / 49.0),
+    "fig2a": dict(n_values=_ODD_3_21, s=1.0, space_kind="mod-exp"),
+    "fig2b": dict(n_values=_ODD_3_21, s=0.5, space_kind="mod-exp"),
+    "fig3a": dict(n_values=_ODD_3_21, s=0.5, space_kind="mod-exp", eps=0.1),
+    "fig3b": dict(n_values=_ODD_3_21, s=1.0, space_kind="poly", eps=0.1),
+    "fig3c": dict(n_values=_ODD_3_21, s=2.0 / 3.0, space_kind="poly", eps=0.1),
 }
 
 
@@ -88,12 +102,7 @@ def figure_spec(figure_id: str, **overrides) -> FigureSpec:
     arguments override them and are recorded in the output metadata."""
     if figure_id not in _DEFAULTS:
         raise ValueError(f"figure id must be one of {FIGURE_IDS}, got {figure_id!r}")
-    kwargs = dict(_DEFAULTS[figure_id])
-    kwargs.update(overrides)
-    spec = FigureSpec(id=figure_id, **kwargs)
-    if spec.space() is not None:
-        spec = replace(spec, k_max=_series_depth(spec.space(), spec.k_max))
-    return spec
+    return FigureSpec(id=figure_id, **{**_DEFAULTS[figure_id], **overrides})
 
 
 def worker_count() -> int:
@@ -106,7 +115,7 @@ def worker_count() -> int:
 
 
 def _theory_slope(spec: FigureSpec) -> float:
-    if spec.id in ("fig1a", "fig1b"):
+    if spec.t is not None:
         # decay at least t^{-2n}: slope -2 log10(t) against n
         return -2.0 * math.log10(spec.t)
     if spec.space_kind == "mod-exp":
@@ -116,23 +125,34 @@ def _theory_slope(spec: FigureSpec) -> float:
     return -spec.s
 
 
+def _rule_shape(spec: FigureSpec, n: int) -> tuple[int, int]:
+    """Node count of row n's rule and the first mode its series sums:
+    shifted rules take n+1 nodes from k = n+1, Gauss rules n from k = 2n."""
+    return (n + 1, n + 1) if spec.eps is not None else (n, 2 * n)
+
+
 def _required_capacity(spec: FigureSpec) -> int:
-    n_top = max(spec.n_values)
-    if spec.id in ("fig1a", "fig1b"):
-        return n_top + 1
-    start = 2 * n_top if spec.id.startswith("fig2") else n_top + 1
-    return _series_capacity(spec.space(), start, spec.trunc_tol, 2.0, spec.k_max)
+    """The largest rule's size plus one, and on the series route the fixed
+    depth or the top row's truncation index plus a margin of four."""
+    size, start = _rule_shape(spec, max(spec.n_values))
+    if spec.t is not None:
+        return size + 1
+    if spec.k_max is not None:
+        return max(spec.k_max, size + 1)
+    sup = sup_envelope_constant(build_basis(spec.alpha, 512))
+    K = series_truncation(spec.space(), start, spec.trunc_tol, spec.alpha, sup)
+    return max(K + 4, size + 1)
 
 
-def _series_row(spec: FigureSpec, basis, n: int) -> tuple[tuple, dict]:
-    """Series-route row n of a fig2/fig3 spec: the ``(nodes, omega, start)``
-    triple its worst-case error is summed over, plus its system report."""
-    if spec.id.startswith("fig2"):
-        rule = gauss_rule(basis, n)
-        return (rule.nodes, rule.omega, 2 * n), {}
+def _rule_row(spec: FigureSpec, basis, n: int) -> tuple[tuple, dict]:
+    """Row n's ``(nodes, omega, start)`` triple, plus the report of its
+    perturbed system (empty for plain Gauss rules)."""
+    size, start = _rule_shape(spec, n)
+    rule = gauss_rule(basis, size)
+    if spec.eps is None:
+        return (rule.nodes, rule.omega, start), {}
 
-    # fig3: system of order n on n+1 perturbed nodes
-    rule = gauss_rule(basis, n + 1)
+    # system of order n on n+1 perturbed nodes
     nodes, tau = perturb_nodes(
         rule, spec.eps, sign_mode=spec.sign_mode, seed=spec.seed, allow_reorder=True
     )
@@ -144,7 +164,41 @@ def _series_row(spec: FigureSpec, basis, n: int) -> tuple[tuple, dict]:
         "min_omega": float(np.min(omega)),
         "support_ok": support_check(nodes, basis.alpha, n + 1, L=3.0),
     }
-    return (nodes, omega, n + 1), info
+    return (nodes, omega, start), info
+
+
+def _table_rows(spec: FigureSpec):
+    """``(basis, values, reports, errors)`` of one table, the last three
+    keyed by n: one basis, kernel rows through ``wce_me2``, all series rows
+    in one basis sweep.  A row that fails (rule, system, truncation,
+    capacity) is recorded in ``errors`` and fails alone."""
+    basis = build_basis(spec.alpha, _required_capacity(spec))
+    values: dict[int, float] = {}
+    reports: dict[int, dict] = {}
+    errors: dict[int, Exception] = {}
+    rows: dict[int, tuple] = {}
+
+    for n in dict.fromkeys(spec.n_values):  # a repeated n is one row
+        try:
+            row, info = _rule_row(spec, basis, n)
+            if spec.t is not None:
+                values[n] = wce_me2(row[0], row[1], spec.t)
+            else:
+                rows[n] = row
+            if info:
+                reports[n] = info
+        except Exception as exc:
+            errors[n] = exc
+
+    series = _wce_series_rows(
+        list(rows.values()), basis, spec.space(), spec.trunc_tol, spec.k_max
+    )
+    for n, value in zip(rows, series):
+        if isinstance(value, Exception):
+            errors[n] = value
+        else:
+            values[n] = value
+    return basis, values, reports, errors
 
 
 def run_figure(spec: FigureSpec | str, **overrides) -> WCETable:
@@ -159,40 +213,12 @@ def run_figure(spec: FigureSpec | str, **overrides) -> WCETable:
     elif overrides:
         spec = replace(spec, **overrides)
 
-    basis = build_basis(2.0, _required_capacity(spec))
-    space = spec.space()
-    values: dict[int, float] = {}
-    row_info: dict[int, dict] = {}
-    errors: dict[int, Exception] = {}
-    rows: dict[int, tuple] = {}
-
-    for n in spec.n_values:
-        try:
-            if space is None:
-                rule = gauss_rule(basis, n)
-                values[n] = wce_me2(rule.nodes, rule.omega, spec.t)
-            else:
-                rows[n], info = _series_row(spec, basis, n)
-                if info:
-                    row_info[n] = info
-        except Exception as exc:
-            errors[n] = exc
-
-    # every surviving series row shares one basis sweep
-    series = _wce_series_rows(
-        list(rows.values()), basis, space, spec.trunc_tol, spec.k_max
-    )
-    for n, value in zip(rows, series):
-        if isinstance(value, Exception):
-            errors[n] = value
-        else:
-            values[n] = value
-
+    _, values, reports, errors = _table_rows(spec)
     ns = sorted(values)
     params = {
         "figure": spec.id,
         "space": _space_label(spec),
-        "alpha": 2.0,
+        "alpha": spec.alpha,
         "seed": spec.seed,
         "axis": spec.axis,
         "trunc_tol": spec.trunc_tol,
@@ -205,7 +231,7 @@ def run_figure(spec: FigureSpec | str, **overrides) -> WCETable:
         params.update(eps=spec.eps, sign_mode=spec.sign_mode)
     if spec.k_max is not None:
         params["k_max"] = spec.k_max
-    systems = {str(n): row_info[n] for n in ns if n in row_info}
+    systems = {str(n): reports[n] for n in ns if n in reports}
     if systems:
         params["systems"] = systems
     if errors:
@@ -221,8 +247,6 @@ def run_figure(spec: FigureSpec | str, **overrides) -> WCETable:
 
 
 def _space_label(spec: FigureSpec) -> str:
-    if spec.id in ("fig1a", "fig1b"):
+    if spec.t is not None:
         return "mse2"
-    if spec.space_kind == "mod-exp":
-        return "mse"
-    return "ms"
+    return "mse" if spec.space_kind == "mod-exp" else "ms"

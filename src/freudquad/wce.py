@@ -27,7 +27,7 @@ import numpy as np
 from ._accum import comp_sum
 from .errors import CapacityError, FreudQuadError
 from .kernels import sup_envelope_constant, tail_index
-from .orthopoly import FreudBasis, _sweep, build_basis
+from .orthopoly import FreudBasis, _sweep
 from .spaces import SpaceWeight, lambda_of
 
 __all__ = [
@@ -134,12 +134,14 @@ def _wce_series_rows(
     the concatenated node sets up to the largest truncation index; each
     row reads its own columns between its own ``start`` and index, with
     the same per-mode dot product as a row on its own, so every value is
-    bit-identical to a ``wce_series`` call.  Returns one entry per row:
-    the value, or the ``ValueError``/``FreudQuadError`` that row raised
-    (bad input, truncation, capacity), which fails that row alone.
+    bit-identical to a ``wce_series`` call.  The weights lambda_k are
+    evaluated once over the union of the rows' index ranges.  Returns one
+    entry per row: the value, or the ``ValueError``/``FreudQuadError`` that
+    row raised (bad input, truncation, capacity, or the shared lambda_k
+    evaluation), which fails that row alone.
     """
     results: list = [None] * len(rows)
-    live = []  # (slot, omega, start, K, lam, column offset, squared errors)
+    live = []  # (slot, omega, start, K, column offset, squared errors)
     xs = []
     offset = 0
     for slot, (nodes, omega, start) in enumerate(rows):
@@ -164,18 +166,24 @@ def _wce_series_rows(
                     f"series truncation needs index {K}, basis capacity is {basis.n_max}",
                     required=K,
                 )
-            lam = np.asarray(lambda_of(space, np.arange(start, K + 1)), dtype=float)
         except (ValueError, FreudQuadError) as exc:
             results[slot] = exc
             continue
-        live.append((slot, omega, start, K, lam, offset, []))
+        live.append((slot, omega, start, K, offset, []))
         xs.append(nodes)
         offset += nodes.size
     if not live:
         return results
 
-    for k0, H in _sweep(basis, np.concatenate(xs), max(row[3] for row in live)):
-        for _, omega, start, K, _, off, sq in live:
+    k_lo, k_hi = min(row[2] for row in live), max(row[3] for row in live)
+    try:
+        lam = np.asarray(lambda_of(space, np.arange(k_lo, k_hi + 1)), dtype=float)
+    except (ValueError, FreudQuadError) as exc:
+        for row in live:
+            results[row[0]] = exc
+        return results
+    for k0, H in _sweep(basis, np.concatenate(xs), k_hi):
+        for _, omega, start, K, off, sq in live:
             lo, hi = max(start - k0, 0), min(K + 1 - k0, len(H))
             if lo >= hi:
                 continue
@@ -183,8 +191,8 @@ def _wce_series_rows(
             if k0 == start == 0:
                 e[0] -= 1.0 / basis.c0  # integral of h_0 W; zero for k >= 1
             sq.append(e * e)
-    for slot, _, _, _, lam, _, sq in live:
-        results[slot] = comp_sum(np.concatenate(sq) / lam)
+    for slot, _, start, K, _, sq in live:
+        results[slot] = comp_sum(np.concatenate(sq) / lam[start - k_lo:K + 1 - k_lo])
     return results
 
 
@@ -193,35 +201,14 @@ def series_truncation(
 ) -> int:
     """Truncation index used by ``wce_series``: the envelope tail must be
     below ``tol`` relative to the first retained envelope term."""
-    first = sup_const * max(start, 1) ** (1.0 / 3.0 - 1.0 / alpha) / float(
-        lambda_of(space, start)
-    )
+    lam_start = float(lambda_of(space, start))
+    if math.isinf(lam_start):
+        raise FreudQuadError(
+            f"lambda_start (k = {start}) of the {space.kind} weight overflows to "
+            "inf, so the series tail bound cannot be formed"
+        )
+    first = sup_const * max(start, 1) ** (1.0 / 3.0 - 1.0 / alpha) / lam_start
     return tail_index(space, start, tol * first, alpha, sup_const)
-
-
-# Polynomial coefficient weights decay too slowly for the envelope-based
-# auto-truncation, so their series are cut at this fixed recorded depth.
-_POLY_DEPTH = 40_000
-
-
-def _series_depth(space: SpaceWeight, k_max: int | None = None) -> int | None:
-    """Fixed series depth: ``k_max`` when given, the polynomial depth for
-    polynomial weights, otherwise None (envelope truncation)."""
-    if k_max is None and space.kind in ("poly", "mod-poly"):
-        return _POLY_DEPTH
-    return k_max
-
-
-def _series_capacity(
-    space: SpaceWeight, start: int, tol: float, alpha: float, k_max: int | None
-) -> int:
-    """Basis capacity for series rows starting at or below ``start``: the
-    fixed depth, or the truncation index ``wce_series`` picks at ``start``
-    (plus a margin of four)."""
-    if k_max is not None:
-        return k_max
-    sup = sup_envelope_constant(build_basis(alpha, 512))
-    return series_truncation(space, start, tol, alpha, sup) + 4
 
 
 def wce_bound(phi: float, a_n: float) -> float:

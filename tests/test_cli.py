@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from freudquad import run_figure
 from freudquad.cli import main
 
-# CSV stdout of two series-route ``freudq wce`` tables; any change to these
-# bytes is a change in the reported results
+# stdout of ``freudq wce`` and ``freudq figure`` tables (CSV and JSON, kernel
+# and series route, unsorted and repeated n); any change to these bytes is
+# a change in the reported results
 GOLDEN_WCE = json.loads(
     (Path(__file__).parent / "data" / "cli_wce_n3_9.json").read_text()
 )
@@ -138,6 +140,32 @@ class TestWce:
         code, out, _ = run_cli(capsys, *command.split())
         assert code == 0
         assert out == GOLDEN_WCE[command]
+
+    @pytest.mark.parametrize(
+        "command, fid",
+        [
+            ("wce --space mse2 --t 1.25", "fig1a"),
+            ("wce --space mse --s 1", "fig2a"),
+        ],
+    )
+    def test_same_rows_as_figure(self, capsys, command, fid):
+        code, out, _ = run_cli(capsys, *command.split(), "--n-range", "3:9:2")
+        assert code == 0
+        assert out == run_figure(fid, n_values=(3, 5, 7, 9)).to_csv()
+
+    def test_first_failed_row_is_raised(self, capsys):
+        code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "3",
+                                 "--n-range", "0:3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: node count must be >= 1, got n=0\n"
+
+    def test_overflowing_weight_is_numerical_failure(self, capsys):
+        # exp(k) overflows at the top row's first mode k = 2n = 1402
+        code, _, err = run_cli(capsys, "wce", "--space", "epq", "--p", "1", "--q",
+                               "1", "--n-range", "700:701")
+        assert code == 2
+        assert err.startswith("numerical failure: lambda_start (k = 1402)")
 
 
 class TestPerturb:

@@ -73,14 +73,14 @@ class TestRunFigure:
     def test_failed_rows_are_marked_not_dropped(self, monkeypatch):
         import freudquad.experiments as exp
 
-        real = exp._series_row
+        real = exp._rule_row
 
         def flaky(spec, basis, n):
             if n == 13:
                 raise RuntimeError("synthetic row failure")
             return real(spec, basis, n)
 
-        monkeypatch.setattr(exp, "_series_row", flaky)
+        monkeypatch.setattr(exp, "_rule_row", flaky)
         table = run_figure("fig3b", n_values=(3, 13, 17), k_max=2_000)
         assert table.params["failures"] == {"13": "RuntimeError: synthetic row failure"}
         assert table.ns == (3, 17)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from freudquad import (
     CapacityError,
+    ConvergenceError,
+    FreudQuadError,
     SpaceWeight,
     WCETable,
     basis_matrix,
@@ -18,7 +20,8 @@ from freudquad import (
     wce_me2,
     wce_series,
 )
-from freudquad.wce import _wce_series_rows
+import freudquad.wce as wce_mod
+from freudquad.wce import _wce_series_rows, series_truncation
 
 PI = math.pi
 
@@ -164,6 +167,46 @@ class TestWceSeriesRows:
         values = self.assert_matches_single(rows, basis, geometric_space(1.25))
         assert isinstance(values[1], CapacityError)
         assert all(isinstance(v, float) and v > 0.0 for v in values[:1] + values[2:])
+
+    def test_one_lambda_evaluation_over_the_union(self, basis2, monkeypatch):
+        # rows start at 6, 16 and 0 and share k_max = 400: one call over 0..400
+        calls, real = [], wce_mod.lambda_of
+
+        def counting(space, k):
+            calls.append(np.asarray(k).copy())
+            return real(space, k)
+
+        monkeypatch.setattr(wce_mod, "lambda_of", counting)
+        values = _wce_series_rows(
+            self.rows(basis2), basis2, SpaceWeight.polynomial(2.0), 1e-16, 400
+        )
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.arange(0, 401))
+        monkeypatch.undo()
+        for got, (nodes, omega, start) in zip(values, self.rows(basis2)):
+            assert got == wce_series(
+                nodes, omega, basis2, SpaceWeight.polynomial(2.0), start, k_max=400
+            )
+
+    def test_failed_lambda_evaluation_fails_every_live_row(self, basis2, monkeypatch):
+        def failing(space, k):
+            raise ConvergenceError("synthetic moment failure")
+
+        monkeypatch.setattr(wce_mod, "lambda_of", failing)
+        rows = self.rows(basis2)
+        rows.insert(1, (rows[0][0], rows[0][1], -1))  # fails before the evaluation
+        values = _wce_series_rows(rows, basis2, SpaceWeight.polynomial(2.0), 1e-16, 400)
+        assert isinstance(values[1], ValueError)
+        assert all(str(values[i]) == "synthetic moment failure" for i in (0, 2, 3))
+
+
+class TestSeriesTruncation:
+    def test_overflowing_first_weight_is_a_typed_failure(self):
+        # exp(k) overflows a double from k = 710 on
+        space = SpaceWeight.exponential(1.0, 1.0)
+        assert series_truncation(space, 700, 1e-16, 2.0, 1.0) >= 699
+        with pytest.raises(FreudQuadError, match=r"lambda_start \(k = 710\)"):
+            series_truncation(space, 710, 1e-16, 2.0, 1.0)
 
 
 class TestWceBound:
