@@ -31,7 +31,9 @@ import numpy as np
 
 from . import __version__
 from .errors import FreudQuadError
-from .experiments import FIGURE_IDS, FigureSpec, _table_rows, figure_spec, run_figure
+from .experiments import (
+    FIGURE_IDS, FigureSpec, _rule_shape, _table_rows, figure_spec, run_figure,
+)
 from .gaussquad import gauss_rule
 from .kernels import mehler
 from .mzframe import build_system, generalized_weights, perturb_nodes, support_check
@@ -61,8 +63,12 @@ def _parse_n_range(text: str) -> list[int]:
             raise ValueError(f"bad n-range {text!r}")
         if step < 1 or hi < lo:
             raise ValueError(f"bad n-range {text!r}")
-        return list(range(lo, hi + 1, step))
-    return [int(v) for v in text.split(",") if v.strip()]
+        ns = list(range(lo, hi + 1, step))
+    else:
+        ns = [int(v) for v in text.split(",") if v.strip()]
+    if not ns:
+        raise ValueError(f"bad n-range {text!r}")
+    return ns
 
 
 def _write(path: str | None, content: str) -> None:
@@ -151,6 +157,16 @@ def _cmd_wce(args) -> int:
     if kind == "mod-exp2" and args.alpha == 2.0:
         # the geometric family at alpha = 2 takes the closed-form kernel route
         spec = replace(spec, t=math.pi / (math.pi - args.s))
+    if spec.t is None and args.k_max is not None:
+        # a row whose first summed mode lies past the depth would sum nothing
+        # and read as an exact rule
+        for n in ns:
+            start = _rule_shape(spec, n)[1]
+            if args.k_max < start:
+                raise ValueError(
+                    f"--k-max {args.k_max} is below the first summed mode "
+                    f"2n = {start} of row n = {n}"
+                )
     basis, rows, _, errors = _table_rows(spec)
     if errors:
         raise next(iter(errors.values()))  # the first row that failed

@@ -138,12 +138,25 @@ def _stieltjes_pass(alpha: float, n_max: int, x, w):
     return c0, a
 
 
+_GRAM_CHUNK = 4096  # grid points per Gram update in _verify_orthonormality
+
+
 def _verify_orthonormality(basis: FreudBasis, x, w, tol: float) -> float:
-    """Max deviation of the Gram matrix from the identity on a given grid."""
-    H = basis_matrix(basis, x, basis.n_max)
-    G = (H * w) @ H.T
+    """Max deviation of the Gram matrix from the identity on a given grid.
+
+    The Gram matrix sum_x w(x) h_j(x) h_k(x) is accumulated over chunks of
+    ``_GRAM_CHUNK`` grid points as (sqrt(w) H)(sqrt(w) H)^T, which numpy
+    sends to syrk, so at most that many columns of the basis are held.
+    The weights must be positive (Gauss-Legendre weights are); a NaN
+    defect fails the check.
+    """
+    G = np.zeros((basis.n_max + 1, basis.n_max + 1))
+    for i in range(0, len(x), _GRAM_CHUNK):
+        H = basis_matrix(basis, x[i:i + _GRAM_CHUNK], basis.n_max)
+        H *= np.sqrt(w[i:i + _GRAM_CHUNK])
+        G += H @ H.T
     defect = float(np.abs(G - np.eye(basis.n_max + 1)).max())
-    if defect > tol:
+    if not defect <= tol:
         raise ConvergenceError(
             f"orthonormality defect {defect:.3e} exceeds tolerance {tol:.1e}"
         )

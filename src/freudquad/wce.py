@@ -116,7 +116,8 @@ def wce_series(
     0 or at 2n gives the same value; the sum-of-squares form is
     nonnegative by construction.  One basis sweep over the nodes yields
     every h_k up to the truncation index, and each e_k is one dot
-    product with omega.
+    product with omega; the dots of a block of modes run in one
+    ``np.vecdot``, which calls the same BLAS ddot per mode in C.
     """
     (value,) = _wce_series_rows([(nodes, omega, start)], basis, space, tol, k_max)
     if isinstance(value, Exception):
@@ -187,7 +188,7 @@ def _wce_series_rows(
             lo, hi = max(start - k0, 0), min(K + 1 - k0, len(H))
             if lo >= hi:
                 continue
-            e = np.array([omega.dot(h) for h in H[lo:hi, off:off + omega.size]])
+            e = np.vecdot(H[lo:hi, off:off + omega.size], omega)
             if k0 == start == 0:
                 e[0] -= 1.0 / basis.c0  # integral of h_0 W; zero for k >= 1
             sq.append(e * e)

@@ -167,6 +167,22 @@ class TestWce:
         assert code == 2
         assert err.startswith("numerical failure: lambda_start (k = 1402)")
 
+    @pytest.mark.parametrize(
+        "k_max, n_range, n",
+        [("3", "3:21:2", 3), ("12", "3:9:2", 7), ("12", "9,3", 9)],
+    )
+    def test_k_max_below_first_mode_is_rejected(self, capsys, k_max, n_range, n):
+        # a row with k_max < 2n would sum no mode and read as an exact rule;
+        # the first such row in the given order is named
+        code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "3",
+                                 "--n-range", n_range, "--k-max", k_max)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: --k-max {k_max} is below the first summed mode "
+            f"2n = {2 * n} of row n = {n}\n"
+        )
+
 
 class TestPerturb:
     def test_report_fields(self, capsys):
@@ -206,3 +222,12 @@ class TestValidation:
         with pytest.raises(SystemExit) as exc:
             main(["figure", "fig9x"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "command", ["wce --space hs --s 3", "figure fig2a", "wce --space mse2 --t 1.25"]
+    )
+    def test_empty_n_range_exits_one(self, capsys, command):
+        code, out, err = run_cli(capsys, *command.split(), "--n-range", "")
+        assert code == 1
+        assert out == ""
+        assert err == "error: bad n-range ''\n"

@@ -18,6 +18,7 @@ from freudquad import (
     wce_bound,
     wce_series,
 )
+from freudquad.mzframe import _tau_norms
 
 PI = math.pi
 
@@ -202,3 +203,12 @@ class TestPhiLambda:
         measured = wce_series(nodes, omega, basis2, space, start=21, k_max=599)
         phi = phi_lambda(basis2, space, system, k_max=599)
         assert measured <= wce_bound(phi, system.a_n) + 1e-12
+
+    def test_tau_norms_match_one_dot_per_row(self, basis2):
+        # node counts 1..40 cross the BLAS ddot kernel sizes at 16 and 32
+        rng = np.random.default_rng(5)
+        for m in range(1, 41):
+            tau = rng.uniform(0.1, 1.0, m)
+            H = basis_matrix(basis2, rng.uniform(-4.0, 4.0, m), 300)
+            want = [np.dot(th, h) for th, h in zip(tau * H, H)]
+            assert np.array_equal(_tau_norms(tau, H), want)

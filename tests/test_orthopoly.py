@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from freudquad import (
     CapacityError,
     ConvergenceError,
+    FreudBasis,
     StieltjesOptions,
     basis_matrix,
     build_basis,
@@ -16,7 +17,7 @@ from freudquad import (
     mrs_number,
     weight_value,
 )
-from freudquad.orthopoly import _sweep
+from freudquad.orthopoly import _reference_grid, _sweep, _verify_orthonormality
 
 PI = math.pi
 
@@ -118,6 +119,54 @@ class TestBuildBasisGeneralAlpha:
         opts = StieltjesOptions(coeff_tol=1e-30, max_doublings=1)
         with pytest.raises(ConvergenceError):
             build_basis(4.0, 10, opts)
+
+
+class TestVerifyOrthonormality:
+    """The Gram check on the verification grid (twice the converged panels)."""
+
+    @pytest.fixture(scope="class")
+    def quartic(self):
+        # 256 panels of 24 points: the grid build_basis(4.0, 100) verifies on,
+        # more points than one Gram chunk
+        x, w, _ = _reference_grid(4.0, 100, 256, 24)
+        return build_basis(4.0, 100), x, w
+
+    def test_matches_one_shot_gram(self, quartic):
+        basis, x, w = quartic
+        H = basis_matrix(basis, x, 100)
+        one_shot = float(np.abs((H * w) @ H.T - np.eye(101)).max())
+        got = _verify_orthonormality(basis, x, w, 1e-8)
+        assert abs(got - one_shot) <= 1e-15
+        assert got < 1e-12
+
+    def test_perturbed_coefficient_is_rejected(self, quartic):
+        basis, x, w = quartic
+        coeffs = basis.coeffs.copy()
+        coeffs[49] *= 1.0 + 1e-6
+        bad = FreudBasis(basis.alpha, basis.c0, coeffs, basis.n_max)
+        with pytest.raises(ConvergenceError, match="orthonormality defect"):
+            _verify_orthonormality(bad, x, w, 1e-8)
+
+    def test_nan_defect_is_rejected(self, quartic):
+        # a negative weight has no square root: the Gram matrix turns NaN
+        basis, x, w = quartic
+        w = w.copy()
+        w[100] = -w[100]
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ConvergenceError, match="defect nan"):
+                _verify_orthonormality(basis, x, w, 1e-8)
+
+    def test_holds_no_full_basis_matrix(self):
+        basis = build_basis(4.0, 400)
+        x, w, _ = _reference_grid(4.0, 400, 512, 24)
+        full = (basis.n_max + 1) * x.size * 8  # one (n+1) x len(x) float64 matrix
+        tracemalloc.start()
+        try:
+            _verify_orthonormality(basis, x, w, 1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full
 
 
 class TestEvalBasis:

@@ -14,12 +14,14 @@ from freudquad import (
     basis_matrix,
     build_basis,
     gauss_rule,
+    lambda_of,
     slope_fit,
     tensor_wce,
     wce_bound,
     wce_me2,
     wce_series,
 )
+from freudquad._accum import comp_sum
 import freudquad.wce as wce_mod
 from freudquad.wce import _wce_series_rows, series_truncation
 
@@ -135,6 +137,25 @@ class TestWceSeriesRows:
             else:
                 assert got == want
         return batched
+
+    def test_per_mode_dots_match_one_dot_per_mode(self, basis2):
+        # node counts 1..40 cross the BLAS ddot kernel sizes at 16 and 32;
+        # every fourth row starts at 0, the others at 2n on nodes moved off
+        # the Gauss nodes
+        space, K = SpaceWeight.polynomial(2.0), 400
+        rows = []
+        for m in range(1, 41):
+            rule = gauss_rule(basis2, m)
+            start = 0 if m % 4 == 0 else 2 * m
+            rows.append(((1.0 + 0.01 * (m % 3)) * rule.nodes, rule.omega, start))
+        got = _wce_series_rows(rows, basis2, space, 1e-16, K)
+        for value, (nodes, omega, start) in zip(got, rows):
+            H = basis_matrix(basis2, nodes, K)
+            e = np.array([omega.dot(h) for h in H[start:]])
+            if start == 0:
+                e[0] -= 1.0 / basis2.c0
+            lam = np.asarray(lambda_of(space, np.arange(start, K + 1)), dtype=float)
+            assert value == comp_sum(e * e / lam)
 
     def test_fixed_depth_across_blocks(self, basis2_deep):
         # k_max = 2500 crosses the block boundaries at 1024 and 2048; the
