@@ -134,13 +134,11 @@ def tail_index(
         return max(K, start - 1)
 
     # exponential families, possibly with a constant prefactor on lambda^-1
-    if space.kind == "exp":
-        p, q, scale = space.p, space.q, 1.0
-    elif space.kind == "mod-exp":
-        p, q, scale = 0.5, space.s / math.sqrt(math.pi), 1.0
-    else:  # mod-exp2: lambda_k = t^(k+1) = t * e^(k log t)
+    equivalent = space.coefficient_equivalent()  # an exp weight returns itself
+    p, q, scale = equivalent.p, equivalent.q, 1.0
+    if space.kind == "mod-exp2":  # lambda_k = t^(k+1) = t * e^(k log t)
         t = math.pi / (math.pi - space.s)
-        p, q, scale = 1.0, math.log(t), 1.0 / t
+        scale = 1.0 / t
 
     def bound(K: int) -> float:
         return _exp_tail_bound(K, p, q, g, scale * sup_const)

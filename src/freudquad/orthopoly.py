@@ -144,18 +144,44 @@ _GRAM_CHUNK = 4096  # grid points per Gram update in _verify_orthonormality
 def _verify_orthonormality(basis: FreudBasis, x, w, tol: float) -> float:
     """Max deviation of the Gram matrix from the identity on a given grid.
 
-    The Gram matrix sum_x w(x) h_j(x) h_k(x) is accumulated over chunks of
-    ``_GRAM_CHUNK`` grid points as (sqrt(w) H)(sqrt(w) H)^T, which numpy
-    sends to syrk, so at most that many columns of the basis are held.
-    The weights must be positive (Gauss-Legendre weights are); a NaN
-    defect fails the check.
+    The grid must be mirrored about 0: an even number of points with
+    x[i] = -x[-1-i] to a few ulps of its half-width (``_reference_grid`` is
+    off by at most two); otherwise ``ValueError``.  The weights of x and -x
+    are pooled, which changes nothing for Gauss-Legendre panels, whose
+    weights are mirrored too.
+
+    The weight is even and the recurrence has no diagonal term, so
+    h_k(-x) = (-1)^k h_k(x) holds bit for bit (negation is exact).  On the
+    mirrored grid every Gram entry sum_x w(x) h_j(x) h_k(x) with j + k odd
+    is therefore exactly zero, whatever the coefficients, and the others are
+    sums over the positive half with the two weights combined.  So the full
+    (n+1)^2 Gram matrix is checked as its even-even and odd-odd blocks, each
+    accumulated over chunks of ``_GRAM_CHUNK`` positive points as
+    (sqrt(w) H)(sqrt(w) H)^T on the strided rows H[0::2] and H[1::2], which
+    numpy sends to syrk without a copy.  At most one chunk of basis columns
+    is held.  The combined root weight is hypot(sqrt(w(x)), sqrt(w(-x))), so
+    a negative or NaN weight on either half gives a NaN defect, which fails
+    the check.
     """
-    G = np.zeros((basis.n_max + 1, basis.n_max + 1))
-    for i in range(0, len(x), _GRAM_CHUNK):
-        H = basis_matrix(basis, x[i:i + _GRAM_CHUNK], basis.n_max)
-        H *= np.sqrt(w[i:i + _GRAM_CHUNK])
-        G += H @ H.T
-    defect = float(np.abs(G - np.eye(basis.n_max + 1)).max())
+    x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
+    half = x.size // 2
+    xp = x[half:]
+    if x.size % 2 or not np.all(
+        np.abs(xp + x[half - 1::-1]) <= 8 * np.spacing(np.abs(x).max())
+    ):
+        raise ValueError("the verification grid must be mirrored about 0")
+    root_w = np.hypot(np.sqrt(w[half:]), np.sqrt(w[half - 1::-1]))
+    n = basis.n_max
+    Ge = np.zeros((n // 2 + 1, n // 2 + 1))  # h_0, h_2, ...
+    Go = np.zeros(((n + 1) // 2, (n + 1) // 2))  # h_1, h_3, ...
+    for i in range(0, half, _GRAM_CHUNK):
+        H = basis_matrix(basis, xp[i:i + _GRAM_CHUNK], n)
+        H *= root_w[i:i + _GRAM_CHUNK]
+        He, Ho = H[0::2], H[1::2]
+        Ge += He @ He.T
+        Go += Ho @ Ho.T
+    # np.max, unlike max(), keeps a NaN from either block
+    defect = float(np.max([np.abs(G - np.eye(len(G))).max() for G in (Ge, Go)]))
     if not defect <= tol:
         raise ConvergenceError(
             f"orthonormality defect {defect:.3e} exceeds tolerance {tol:.1e}"

@@ -152,7 +152,9 @@ def lambda_of(space: SpaceWeight, k):
         t = math.pi / (math.pi - space.s)
         with np.errstate(over="ignore"):
             out = np.exp((kf + 1.0) * math.log(t))
-    else:  # mod-poly: exact radial moments
+    elif float(space.s).is_integer():  # mod-poly: exact radial moments
+        out = _mod_poly_moments(int(space.s), kf)
+    else:
         flat = np.array(
             [radial_moment("mod-poly", space.s, int(kk)) for kk in np.ravel(karr)]
         )
@@ -173,6 +175,21 @@ def _moment_integrand_log(t, k, lgk):
     return k * math.log(t) - t - lgk if t > 0 else -math.inf
 
 
+def _mod_poly_moments(s: int, k: np.ndarray) -> np.ndarray:
+    """Exact mod-poly moments mu_k(s) for integer s over a float array k.
+
+    (1 + t/pi)^s expands exactly, so mu_k = sum_j C(s,j) pi^-j (k+1)...(k+j).
+    The rising factorials are exp(gammaln(k+j+1) - gammaln(k+1)) with
+    ``math.exp`` per element: ``np.exp`` rounds some of them differently.
+    """
+    total = np.zeros(k.shape)
+    for j in range(s + 1):
+        log_rising = gammaln(k + j + 1) - gammaln(k + 1)
+        rising = np.array([math.exp(v) for v in np.ravel(log_rising).tolist()])
+        total += math.comb(s, j) * math.pi ** (-j) * rising.reshape(k.shape)
+    return total
+
+
 @lru_cache(maxsize=None)
 def _radial_moment_cached(kind: str, s: float, k: int) -> float:
     if kind == "mod-exp2":
@@ -180,13 +197,7 @@ def _radial_moment_cached(kind: str, s: float, k: int) -> float:
         return t ** (k + 1)
 
     if kind == "mod-poly" and float(s).is_integer():
-        # (1 + t/pi)^s expands exactly; moment = sum_j C(s,j) pi^-j (k+1)...(k+j)
-        si = int(s)
-        total = 0.0
-        for j in range(si + 1):
-            rising = math.exp(gammaln(k + j + 1) - gammaln(k + 1))
-            total += math.comb(si, j) * math.pi ** (-j) * rising
-        return total
+        return float(_mod_poly_moments(int(s), np.array(float(k))))
 
     # adaptive quadrature of t^k e^{-t}/k! times the radial window
     lgk = gammaln(k + 1)

@@ -121,6 +121,18 @@ class TestBuildBasisGeneralAlpha:
             build_basis(4.0, 10, opts)
 
 
+class TestFreudEquation:
+    """Independent oracle for the quartic Stieltjes coefficients."""
+
+    @pytest.mark.parametrize("n_max", [200, 800])
+    def test_quartic_coefficients(self, n_max):
+        # 8 pi a_n^2 (a_{n-1}^2 + a_n^2 + a_{n+1}^2) = n for W = exp(-pi x^4)
+        sq = np.concatenate([[0.0], build_basis(4.0, n_max).coeffs ** 2])
+        n = np.arange(1, n_max)
+        lhs = 8.0 * PI * sq[n] * (sq[n - 1] + sq[n] + sq[n + 1])
+        assert np.max(np.abs(lhs - n) / n) < 1e-12
+
+
 class TestVerifyOrthonormality:
     """The Gram check on the verification grid (twice the converged panels)."""
 
@@ -155,6 +167,41 @@ class TestVerifyOrthonormality:
         with np.errstate(invalid="ignore"):
             with pytest.raises(ConvergenceError, match="defect nan"):
                 _verify_orthonormality(basis, x, w, 1e-8)
+
+    def test_negative_weight_on_positive_half_is_rejected(self, quartic):
+        basis, x, w = quartic
+        w = w.copy()
+        w[-100] = -w[-100]
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ConvergenceError, match="defect nan"):
+                _verify_orthonormality(basis, x, w, 1e-8)
+
+    def test_perturbed_odd_coefficient_is_rejected(self, quartic):
+        # a_51 moves h_51 first; the test above perturbs a_50, which moves h_50
+        basis, x, w = quartic
+        coeffs = basis.coeffs.copy()
+        coeffs[50] *= 1.0 + 1e-6
+        bad = FreudBasis(basis.alpha, basis.c0, coeffs, basis.n_max)
+        with pytest.raises(ConvergenceError, match="orthonormality defect"):
+            _verify_orthonormality(bad, x, w, 1e-8)
+
+    @pytest.mark.parametrize("n_max", [99, 100])
+    def test_defect_in_one_parity_block_is_rejected(self, quartic, n_max):
+        # perturbing the last coefficient moves h_{n_max} alone: only the odd
+        # (n_max = 99) or only the even (n_max = 100) block is off
+        basis, x, w = quartic
+        coeffs = basis.coeffs[:n_max].copy()
+        coeffs[-1] *= 1.0 + 1e-6
+        bad = FreudBasis(basis.alpha, basis.c0, coeffs, n_max)
+        with pytest.raises(ConvergenceError, match="orthonormality defect"):
+            _verify_orthonormality(bad, x, w, 1e-8)
+
+    def test_asymmetric_grid_is_rejected(self, quartic):
+        basis, x, w = quartic
+        with pytest.raises(ValueError, match="mirrored"):
+            _verify_orthonormality(basis, x + 1e-9, w, 1e-8)
+        with pytest.raises(ValueError, match="mirrored"):
+            _verify_orthonormality(basis, x[1:], w[1:], 1e-8)
 
     def test_holds_no_full_basis_matrix(self):
         basis = build_basis(4.0, 400)

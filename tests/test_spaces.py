@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from freudquad import (
     GridSpec,
@@ -15,6 +16,7 @@ from freudquad import (
     radial_moment,
     stft_grid_norm_sq,
 )
+from freudquad.spaces import _radial_moment_cached
 
 PI = math.pi
 
@@ -34,6 +36,29 @@ class TestSpaceWeight:
     def test_mod_poly_lambda_is_exact_moment(self):
         sw = SpaceWeight.mod_poly(1.0)
         assert lambda_of(sw, 2) == pytest.approx(radial_moment("mod-poly", 1.0, 2), rel=1e-15)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_mod_poly_array_moments_match_scalar_bits(self, s):
+        # the closed form summed term by term in Python floats, with math.exp
+        def closed_form(k):
+            return sum(
+                math.comb(s, j) * PI ** (-j) * math.exp(gammaln(k + j + 1) - gammaln(k + 1))
+                for j in range(s + 1)
+            )
+
+        k = np.arange(5001)
+        ref = np.array([closed_form(int(kk)) for kk in k])
+        sw = SpaceWeight.mod_poly(s)
+        assert np.array_equal(lambda_of(sw, k), ref)
+        assert np.array_equal(lambda_of(sw, k.reshape(3, 1667)), ref.reshape(3, 1667))
+        assert np.array_equal([radial_moment("mod-poly", s, kk) for kk in k], ref)
+
+    def test_mod_poly_table_makes_no_scalar_moment_calls(self):
+        # the k range of `freudq wce --space ms --s 2 --n-range 3:21:2`
+        before = _radial_moment_cached.cache_info()
+        lambda_of(SpaceWeight.mod_poly(2.0), np.arange(6, 40_001))
+        after = _radial_moment_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_validation(self):
         with pytest.raises(ValueError):
