@@ -18,7 +18,7 @@ from .errors import (
     UnboundedTailError,
 )
 from .experiments import FIGURE_IDS, FigureSpec, figure_spec, run_figure
-from .gaussquad import QuadratureRule, christoffel, gauss_rule, integrate
+from .gaussquad import QuadratureRule, gauss_rule, integrate
 from .kernels import (
     mehler,
     sup_envelope_constant,
@@ -62,7 +62,7 @@ __all__ = [
     "FreudBasis", "StieltjesOptions", "weight_value", "mrs_number",
     "build_basis", "eval_basis", "basis_matrix",
     # rules
-    "QuadratureRule", "gauss_rule", "christoffel", "integrate",
+    "QuadratureRule", "gauss_rule", "integrate",
     # kernels
     "mehler", "truncated_kernel", "tail_index",
     "sup_envelope_constant",

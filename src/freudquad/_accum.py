@@ -1,9 +1,8 @@
-"""Deterministic compensated reductions.
+"""Deterministic compensated reduction.
 
 Quadrature sums here routinely cancel down to ~1e-15 of their term
-magnitudes, so plain left-to-right accumulation is not good enough.
-``math.fsum`` (exactly rounded) is used for float64 data; a Neumaier
-accumulator is provided for other dtypes.
+magnitudes, so plain left-to-right accumulation is not good enough;
+``math.fsum`` gives the exactly rounded sum.
 """
 
 from __future__ import annotations
@@ -12,21 +11,10 @@ import math
 
 import numpy as np
 
-__all__ = ["comp_sum", "comp_dot"]
+__all__ = ["comp_sum"]
 
 
 def comp_sum(values) -> float:
     """Exactly rounded sum of a 1-D array of float64 values."""
     return math.fsum(np.asarray(values, dtype=float))
 
-
-def comp_dot(a, b) -> float:
-    """Compensated dot product: fsum over elementwise products.
-
-    The products themselves are correctly rounded float64 operations; the
-    reduction is exact, so the result is accurate to ~1 ulp of the true
-    rounded-product sum regardless of cancellation.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return math.fsum(a * b)

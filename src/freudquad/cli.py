@@ -141,6 +141,10 @@ def _emit_table(table: WCETable, args, stem: str) -> None:
 
 def _cmd_wce(args) -> int:
     ns = _parse_n_range(args.n_range)
+    if args.t is not None and args.space != "mse2":
+        raise ValueError("--t applies only to --space mse2")
+    if (args.p, args.q) != (None, None) and args.space != "epq":
+        raise ValueError("--p and --q apply only to --space epq")
     if args.space == "mse2" and args.t is not None:
         # allow parameterizing the geometric family by t = pi/(pi - s)
         if args.t <= 1:
@@ -181,8 +185,9 @@ def _cmd_wce(args) -> int:
         )
         if spec.k_max is not None:
             params["k_max"] = spec.k_max
-    if args.dim > 1:
-        # tensor extension: per-coordinate squared error lifts exactly
+    if args.dim != 1:
+        # tensor extension: per-coordinate squared error lifts exactly;
+        # tensor_wce rejects d < 1
         lam0 = float(lambda_of(spec.space(), 0))
         values = [tensor_wce(v, 1.0 / basis.c0, lam0, args.dim) for v in values]
         params["dim"] = args.dim
@@ -300,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--alpha", type=float, default=2.0)
+    def common(p, alpha=True):
+        if alpha:
+            p.add_argument("--alpha", type=float, default=2.0)
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--out", default=None, help="output file or directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -343,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("figure", help="reproduce a documented experiment")
-    common(p)
+    common(p, alpha=False)
     p.add_argument("id", choices=FIGURE_IDS)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--n-range", default=None)
@@ -354,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("check", help="run the quick invariant suite")
-    common(p)
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -17,11 +17,11 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from ._accum import comp_dot, comp_sum
+from ._accum import comp_sum
 from .errors import CapacityError, ConvergenceError, EvaluationFailure
 from .orthopoly import FreudBasis, basis_matrix, weight_value
 
-__all__ = ["QuadratureRule", "gauss_rule", "christoffel", "integrate"]
+__all__ = ["QuadratureRule", "gauss_rule", "integrate"]
 
 
 @dataclass(frozen=True)
@@ -86,16 +86,6 @@ def gauss_rule(basis: FreudBasis, n: int) -> QuadratureRule:
     tau = 1.0 / np.sum(H * H, axis=0)  # h_n vanishes at its zeros
     omega = tau * weight_value(basis.alpha, nodes)
     return QuadratureRule(basis.alpha, n, nodes, omega, tau)
-
-
-def christoffel(basis: FreudBasis, n: int, x: float) -> float:
-    """Lambda_n(x) = 1 / sum_{k<=n} h_k(x)^2, strictly positive."""
-    if n > basis.n_max:
-        raise CapacityError(
-            f"index {n} exceeds basis capacity {basis.n_max}", required=n
-        )
-    h = basis_matrix(basis, x, n)[:, 0]
-    return 1.0 / comp_dot(h, h)
 
 
 def integrate(rule: QuadratureRule, f: Callable[[float], float]) -> float:

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _TAIL_HARD_CAP = 50_000_000
+_ENVELOPE_K_CAP = 512  # modes scanned for the envelope constant
+_ENVELOPE_SAFETY = 4.0  # factor on the measured grid maximum
 
 
 def mehler(t: float, x, y):
@@ -54,23 +56,24 @@ def mehler(t: float, x, y):
 _sup_cache: dict[tuple[float, int], float] = {}
 
 
-def sup_envelope_constant(basis: FreudBasis, k_cap: int = 512, safety: float = 4.0) -> float:
+def sup_envelope_constant(basis: FreudBasis) -> float:
     """Measured constant C with sup_x |h_k(x)|^2 <= C * k^(1/3 - 1/alpha).
 
     The envelope exponent is known, the constant is not; it is estimated
-    as the maximum of |h_k|^2 k^(1/alpha - 1/3) on a dense grid over the
-    essential support, times a safety factor.  Cached per (alpha, n_max).
+    as the maximum of |h_k|^2 k^(1/alpha - 1/3) for k <= 512 on a dense
+    grid over the essential support, times a safety factor of 4.  Cached
+    per (alpha, scanned modes).
     """
-    key = (round(float(basis.alpha), 12), min(k_cap, basis.n_max))
+    kmax = min(_ENVELOPE_K_CAP, basis.n_max)
+    key = (round(float(basis.alpha), 12), kmax)
     if key in _sup_cache:
         return _sup_cache[key]
-    kmax = min(k_cap, basis.n_max)
     R = 1.25 * mrs_number(basis.alpha, max(kmax, 1))
     grid = np.linspace(-R, R, 2001)
     H = basis_matrix(basis, grid, kmax)
     k = np.arange(1, kmax + 1, dtype=float)
     envelope = (H[1:] ** 2).max(axis=1) * k ** (1.0 / basis.alpha - 1.0 / 3.0)
-    value = safety * float(envelope.max())
+    value = _ENVELOPE_SAFETY * float(envelope.max())
     _sup_cache[key] = value
     return value
 

@@ -19,16 +19,11 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 
 from ._accum import comp_sum
-from .errors import (
-    CapacityError,
-    GapViolationError,
-    NotAFrameError,
-    UnboundedTailError,
-)
+from .errors import GapViolationError, NotAFrameError
 from .gaussquad import QuadratureRule
-from .kernels import sup_envelope_constant, tail_index
-from .orthopoly import FreudBasis, _sweep, basis_matrix, mrs_number
-from .spaces import SpaceWeight, lambda_of
+from .orthopoly import FreudBasis, basis_matrix, mrs_number
+from .spaces import SpaceWeight
+from .wce import _wce_series_rows
 
 __all__ = [
     "MZSystem",
@@ -174,78 +169,21 @@ def phi_lambda(
 ) -> float:
     """Tail error functional sum_{k>n} lambda_k^{-1} * ||h_k||_n^2.
 
-    ``||h_k||_n^2 = sum_x tau(x) h_k(x)^2`` is evaluated by a rolling
-    recurrence over the nodes.  With ``k_max`` the sum is taken exactly
-    over k in (n, k_max]; otherwise the truncation index comes from the
-    envelope tail bound with the measured sum of tau as multiplier,
-    falling back to an empirical stop (consecutive terms below
-    tol * accumulated) when the envelope bound is impractically deep.
+    Since ``||h_k||_n^2 = sum_x (sqrt(tau(x)) h_k(x))^2``, the functional
+    is the sum over the nodes of the squared series errors of the one-node
+    rules (x, sqrt(tau(x))) from index n+1, so all nodes run through the
+    one basis sweep of ``wce_series``, with the same truncation: k in
+    (n, k_max] when ``k_max`` is given, otherwise the envelope tail bound
+    at ``tol`` relative to the first retained envelope term.  Where that
+    bound cannot be met (weights too slow, or an index past the basis
+    capacity) the typed error is raised; no partial sum is returned.
     """
-    n = system.n
-    start = n + 1
-    sum_tau = comp_sum(system.tau)
-
-    if k_max is None:
-        sup = sup_envelope_constant(basis) * sum_tau
-        # rough scale from a short scan, then the sound envelope bound
-        probe_end = start + 256
-        acc_probe = _phi_partial(basis, space, system, start, probe_end)
-        target = tol * max(acc_probe, 1e-300)
-        try:
-            K = tail_index(space, start, target, basis.alpha, sup)
-        except UnboundedTailError:
-            K = None
-        if K is not None and K <= 500_000:
-            return _phi_partial(basis, space, system, start, K)
-        return _phi_empirical(basis, space, system, start, tol)
-    return _phi_partial(basis, space, system, start, k_max)
-
-
-def _phi_partial(basis, space, system, start, k_end) -> float:
-    if k_end < start:
-        return 0.0
-    if k_end > basis.n_max:
-        raise CapacityError(
-            f"tail functional needs index {k_end}, capacity {basis.n_max}",
-            required=k_end,
-        )
-    lam = np.asarray(lambda_of(space, np.arange(start, k_end + 1)), dtype=float)
-    norms = [
-        _tau_norms(system.tau, H[max(start - k0, 0):])
-        for k0, H in _sweep(basis, system.nodes, k_end)
+    rows = [
+        (np.array([x]), np.array([r]), system.n + 1)
+        for x, r in zip(system.nodes, np.sqrt(system.tau))
     ]
-    return comp_sum(np.concatenate(norms) / lam)
-
-
-def _tau_norms(tau, H) -> np.ndarray:
-    """||h||_n^2 = sum_x tau(x) h(x)^2 for each row h of H, one ddot per row
-    (``np.vecdot`` runs them all in C)."""
-    return np.vecdot(tau * H, H)
-
-
-def _phi_empirical(basis, space, system, start, tol, block=2048, hard_cap=2_000_000):
-    """Sum in blocks until a whole block is below tol * accumulated."""
-    terms = []
-    total = 0.0
-    for k0, H in _sweep(basis, system.nodes, basis.n_max, block):
-        if k0 >= hard_cap:
-            break
-        if k0 + block > basis.n_max:
-            raise CapacityError(
-                f"empirical tail scan needs index {basis.n_max + 1}, "
-                f"capacity {basis.n_max}",
-                required=basis.n_max + 1,
-            )
-        lo = max(k0, start)
-        if lo >= k0 + block:
-            continue
-        norms = _tau_norms(system.tau, H[lo - k0:])
-        block_terms = norms / lambda_of(space, np.arange(lo, k0 + block))
-        terms.append(block_terms)
-        total += comp_sum(block_terms)
-        if k0 > start and block_terms.max() < tol * max(total, 1e-300):
-            return comp_sum(np.concatenate(terms))
-    raise UnboundedTailError(
-        f"tail terms did not fall below {tol:.1e} of the accumulated value "
-        f"within {hard_cap} indices"
-    )
+    values = _wce_series_rows(rows, basis, space, tol, k_max)
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+    return comp_sum(values)

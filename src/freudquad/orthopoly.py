@@ -89,14 +89,6 @@ class FreudBasis:
     def __post_init__(self):
         self.coeffs.setflags(write=False)
 
-    def a(self, k: int) -> float:
-        """Recurrence coefficient a_k, 1 <= k <= n_max."""
-        if not 1 <= k <= self.n_max:
-            raise CapacityError(
-                f"coefficient a_{k} outside capacity {self.n_max}", required=k
-            )
-        return float(self.coeffs[k - 1])
-
 
 def _reference_grid(alpha: float, n_max: int, panels: int, degree: int):
     """Composite Gauss-Legendre rule on [-R, R] sized by the MRS number.

@@ -316,9 +316,6 @@ class WCETable:
             clamped=tuple(clamped),
         )
 
-    def rows(self):
-        return list(zip(self.ns, self.wce))
-
     def to_csv(self) -> str:
         lines = ["n,wce,log10_wce"]
         for n, v in zip(self.ns, self.wce):

@@ -223,6 +223,36 @@ class TestValidation:
             main(["figure", "fig9x"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_nonpositive_dim_exits_one(self, capsys, dim):
+        code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "3",
+                                 "--n-range", "3:5:2", "--dim", dim)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: dimension must be >= 1, got d={dim}\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "figure fig2a --n-range 3:5:2 --alpha 4",
+            "check --out ignored.json",
+            "wce --space hs --s 3 --n-range 3:5:2 --t 1.25",
+            "wce --space ms --s 2 --n-range 3:5:2 --p 1 --q 1",
+        ],
+    )
+    def test_ignored_option_is_rejected(self, capsys, tmp_path, monkeypatch, command):
+        # each option used to be accepted and left the output unchanged
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(command.split())
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error: " in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "command", ["wce --space hs --s 3", "figure fig2a", "wce --space mse2 --t 1.25"]
     )

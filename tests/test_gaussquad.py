@@ -7,7 +7,6 @@ from freudquad import (
     CapacityError,
     EvaluationFailure,
     basis_matrix,
-    christoffel,
     eval_basis,
     gauss_rule,
     integrate,
@@ -90,31 +89,6 @@ class TestGaussRule:
     def test_invalid_n(self, basis2):
         with pytest.raises(ValueError):
             gauss_rule(basis2, 0)
-
-
-class TestChristoffel:
-    def test_n0_closed_form(self, basis2):
-        x = 0.5
-        expected = math.exp(2.0 * PI * x * x) / math.sqrt(2.0)
-        assert christoffel(basis2, 0, x) == pytest.approx(expected, rel=1e-14)
-
-    def test_brute_force(self, basis2):
-        x = 0.0
-        vals = eval_basis(basis2, x, 8)
-        brute = 1.0 / float(np.sum(vals ** 2))
-        assert christoffel(basis2, 8, x) == pytest.approx(brute, rel=1e-14)
-
-    def test_edge_scaling_bounded(self, basis2):
-        # Lambda_n(m_n) * n^(2/3 - 1/2) stays below a modest constant
-        vals = []
-        for n in (16, 32, 64, 128):
-            m = mrs_number(2.0, n)
-            vals.append(christoffel(basis2, n, m) * n ** (1.0 / 6.0))
-        assert max(vals) < 4.0
-
-    def test_positive(self, basis2):
-        for x in (-3.0, 0.0, 1.7, 9.0):
-            assert christoffel(basis2, 12, x) > 0
 
 
 class TestIntegrate:

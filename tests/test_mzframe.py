@@ -7,6 +7,7 @@ from freudquad import (
     GapViolationError,
     NotAFrameError,
     SpaceWeight,
+    UnboundedTailError,
     basis_matrix,
     build_system,
     gauss_rule,
@@ -14,11 +15,12 @@ from freudquad import (
     mrs_number,
     perturb_nodes,
     phi_lambda,
+    sup_envelope_constant,
     support_check,
     wce_bound,
     wce_series,
 )
-from freudquad.mzframe import _tau_norms
+from freudquad.wce import series_truncation
 
 PI = math.pi
 
@@ -204,11 +206,28 @@ class TestPhiLambda:
         phi = phi_lambda(basis2, space, system, k_max=599)
         assert measured <= wce_bound(phi, system.a_n) + 1e-12
 
-    def test_tau_norms_match_one_dot_per_row(self, basis2):
-        # node counts 1..40 cross the BLAS ddot kernel sizes at 16 and 32
-        rng = np.random.default_rng(5)
-        for m in range(1, 41):
-            tau = rng.uniform(0.1, 1.0, m)
-            H = basis_matrix(basis2, rng.uniform(-4.0, 4.0, m), 300)
-            want = [np.dot(th, h) for th, h in zip(tau * H, H)]
-            assert np.array_equal(_tau_norms(tau, H), want)
+    @pytest.mark.parametrize(
+        "space, tol",
+        [
+            (SpaceWeight.exponential(1.0, math.log(1.25)), 1e-12),
+            (SpaceWeight.mod_exp(1.0), 1e-12),
+            (SpaceWeight.polynomial(3.0), 1e-6),
+        ],
+    )
+    def test_adaptive_depth_is_series_truncation(self, basis2_deep, basis2, space, tol):
+        # the same truncation index as wce_series from the first tail mode n+1
+        rule = gauss_rule(basis2, 11)
+        system = build_system(basis2_deep, 10, rule.nodes, rule.tau)
+        K = series_truncation(
+            space, 11, tol, 2.0, sup_envelope_constant(basis2_deep)
+        )
+        auto = phi_lambda(basis2_deep, space, system, tol=tol)
+        assert auto == phi_lambda(basis2_deep, space, system, tol=tol, k_max=K)
+
+    def test_slow_weight_raises_instead_of_partial_sum(self, basis2_deep):
+        # poly(2/3) is below the envelope's summability threshold s > 5/6;
+        # the partial sum is still growing at capacity (6.995 at 26 000 modes)
+        rule = gauss_rule(basis2_deep, 21)
+        system = build_system(basis2_deep, 20, rule.nodes, rule.tau)
+        with pytest.raises(UnboundedTailError):
+            phi_lambda(basis2_deep, SpaceWeight.polynomial(2.0 / 3.0), system, tol=1e-3)
