@@ -7,9 +7,10 @@ is applied to the weighted functions directly (the weight factors out, the
 coefficients are identical) and every value stays bounded.
 
 For alpha = 2 the recurrence coefficients have the closed form
-a_k = sqrt(k / (4 pi)) and c0 = 2**0.25.  For other exponents they are
-computed by a Stieltjes procedure on a composite Gauss-Legendre reference
-quadrature whose resolution is doubled until the coefficients stabilize.
+a_k = sqrt(k / (4 pi)).  For other exponents they are computed by a
+Stieltjes procedure on a composite Gauss-Legendre reference quadrature
+whose resolution is doubled until the coefficients stabilize.  The
+normalization c0 has a closed form for every alpha (2**0.25 at alpha = 2).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma, roots_legendre
 
 from .errors import CapacityError, ConvergenceError
@@ -106,6 +107,17 @@ def _reference_grid(alpha: float, n_max: int, panels: int, degree: int):
     return x, w, R
 
 
+def _c0(alpha: float) -> float:
+    """c0 = (integral of W^2)^(-1/2), correctly rounded.
+
+    integral_R exp(-2 pi |u|^alpha) du = 2 Gamma(1 + 1/alpha) (2 pi)^(-1/alpha),
+    evaluated in 40 digits and rounded once; 2**0.25 at alpha = 2.
+    """
+    with mp.workdps(40):
+        inv = 1 / mp.mpf(alpha)
+        return float(1 / mp.sqrt(2 * mp.gamma(1 + inv) * (2 * mp.pi) ** -inv))
+
+
 def _stieltjes_pass(alpha: float, n_max: int, x, w):
     """One sweep of the Stieltjes iteration on the weighted functions.
 
@@ -118,15 +130,24 @@ def _stieltjes_pass(alpha: float, n_max: int, x, w):
     a = np.zeros(n_max)
     h_prev = np.zeros_like(x)
     h_cur = c0 * W
+    # v = x h_k - a_k h_{k-1}, then (w v) v, then v / a_{k+1}: the same
+    # elementwise operations in the same order as the plain expressions,
+    # written into two reused buffers; the three h rows rotate
+    v, t = np.empty_like(x), np.empty_like(x)
     for k in range(n_max):
-        v = x * h_cur - (a[k - 1] if k >= 1 else 0.0) * h_prev
-        norm_sq = float(np.sum(w * v * v))
+        np.multiply(x, h_cur, out=v)
+        np.multiply(a[k - 1] if k >= 1 else 0.0, h_prev, out=t)
+        np.subtract(v, t, out=v)
+        np.multiply(w, v, out=t)
+        np.multiply(t, v, out=t)
+        norm_sq = float(np.add.reduce(t))
         if not norm_sq > 0:
             raise ConvergenceError(
                 f"Stieltjes norm collapsed at index {k + 1}", index=k + 1
             )
         a[k] = math.sqrt(norm_sq)
-        h_prev, h_cur = h_cur, v / a[k]
+        np.divide(v, a[k], out=v)
+        h_prev, h_cur, v = h_cur, v, h_prev
     return c0, a
 
 
@@ -200,14 +221,10 @@ def build_basis(
 
     if alpha == 2.0:
         k = np.arange(1, n_max + 1, dtype=float)
-        return FreudBasis(2.0, 2.0 ** 0.25, np.sqrt(k / (4.0 * math.pi)), n_max)
+        return FreudBasis(2.0, _c0(2.0), np.sqrt(k / (4.0 * math.pi)), n_max)
 
-    # c0 from adaptive quadrature, independently of the panel grid
-    half, err = quad(
-        lambda u: math.exp(-2.0 * math.pi * u ** alpha), 0.0, np.inf,
-        epsabs=0.0, epsrel=1e-13,
-    )
-    c0 = 1.0 / math.sqrt(2.0 * half)
+    # c0 in closed form, independently of the panel grid
+    c0 = _c0(alpha)
 
     panels = opts.initial_panels
     prev = None

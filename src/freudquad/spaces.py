@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import ConvergenceError, GridInsufficientError
@@ -200,6 +199,10 @@ def _radial_moment_cached(kind: str, s: float, k: int) -> float:
         return float(_mod_poly_moments(int(s), np.array(float(k))))
 
     # adaptive quadrature of t^k e^{-t}/k! times the radial window
+    # imported here, not at module level: loading scipy.integrate costs ~20 MB
+    # and ~0.1 s, and only non-integer mod-* moments need it
+    from scipy.integrate import quad
+
     lgk = gammaln(k + 1)
     if kind == "mod-poly":
         def f(t):

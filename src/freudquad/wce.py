@@ -135,13 +135,15 @@ def _wce_series_rows(
     the concatenated node sets up to the largest truncation index; each
     row reads its own columns between its own ``start`` and index, with
     the same per-mode dot product as a row on its own, so every value is
-    bit-identical to a ``wce_series`` call.  The weights lambda_k are
-    evaluated once over the union of the rows' index ranges.  Returns one
+    bit-identical to a ``wce_series`` call.  The truncation index is
+    computed once per distinct ``start``, and the weights lambda_k once
+    over the union of the rows' index ranges.  Returns one
     entry per row: the value, or the ``ValueError``/``FreudQuadError`` that
     row raised (bad input, truncation, capacity, or the shared lambda_k
     evaluation), which fails that row alone.
     """
     results: list = [None] * len(rows)
+    truncation = {}  # start -> K, one series_truncation per distinct start
     live = []  # (slot, omega, start, K, column offset, squared errors)
     xs = []
     offset = 0
@@ -154,9 +156,11 @@ def _wce_series_rows(
             if nodes.shape != omega.shape or nodes.ndim != 1:
                 raise ValueError("nodes and omega must be 1-D arrays of equal length")
             if k_max is None:
-                K = series_truncation(
-                    space, start, tol, basis.alpha, sup_envelope_constant(basis)
-                )
+                if start not in truncation:
+                    truncation[start] = series_truncation(
+                        space, start, tol, basis.alpha, sup_envelope_constant(basis)
+                    )
+                K = truncation[start]
             else:
                 K = k_max
             if K < start:

@@ -20,6 +20,7 @@ from freudquad import (
     wce_bound,
     wce_series,
 )
+import freudquad.wce as wce_mod
 from freudquad.wce import series_truncation
 
 PI = math.pi
@@ -223,6 +224,23 @@ class TestPhiLambda:
         )
         auto = phi_lambda(basis2_deep, space, system, tol=tol)
         assert auto == phi_lambda(basis2_deep, space, system, tol=tol, k_max=K)
+
+    def test_one_truncation_for_all_nodes(self, basis2_deep, monkeypatch):
+        # every node row starts at n + 1, so one series_truncation serves all 41
+        rule = gauss_rule(basis2_deep, 41)
+        system = build_system(basis2_deep, 40, rule.nodes, rule.tau)
+        space = SpaceWeight.mod_exp(1.0)
+        K = series_truncation(space, 41, 1e-12, 2.0, sup_envelope_constant(basis2_deep))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return series_truncation(*args)
+
+        monkeypatch.setattr(wce_mod, "series_truncation", counted)
+        auto = phi_lambda(basis2_deep, space, system)
+        assert len(calls) == 1
+        assert auto == phi_lambda(basis2_deep, space, system, k_max=K)
 
     def test_slow_weight_raises_instead_of_partial_sum(self, basis2_deep):
         # poly(2/3) is below the envelope's summability threshold s > 5/6;

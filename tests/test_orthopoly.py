@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freudquad
 from freudquad import (
     CapacityError,
     ConvergenceError,
@@ -17,7 +22,9 @@ from freudquad import (
     mrs_number,
     weight_value,
 )
-from freudquad.orthopoly import _reference_grid, _sweep, _verify_orthonormality
+from freudquad.orthopoly import (
+    _c0, _reference_grid, _stieltjes_pass, _sweep, _verify_orthonormality,
+)
 
 PI = math.pi
 
@@ -106,6 +113,21 @@ class TestBuildBasisGeneralAlpha:
         half, _ = quad(lambda u: math.exp(-2 * PI * u ** 4), 0, np.inf,
                        epsabs=0.0, epsrel=1e-13)
         assert basis4.c0 == pytest.approx(1.0 / math.sqrt(2 * half), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0, 3.0, 4.0, 6.0, 8.0])
+    def test_c0_against_mpmath_quadrature(self, alpha):
+        # the integral itself in 40 digits, not the Gamma-function identity;
+        # the helper directly, since build_basis fails at alpha = 1.2 and 1.5
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            half = mp.quad(lambda u: mp.exp(-2 * mp.pi * u ** a), [0, 1, mp.inf])
+            expected = float(1 / mp.sqrt(2 * half))
+        assert _c0(alpha) == expected
+
+    def test_c0_bits_at_alpha_2_and_4(self, basis2, basis4):
+        assert basis2.c0 == 2.0 ** 0.25
+        # the value the adaptive quadrature gave, bit for bit
+        assert basis4.c0 == float.fromhex("0x1.de7bc239e3631p-1")
 
     def test_no_diagonal_term(self, basis4, trapezoid_oracle):
         # <x h_k, h_k> = 0 for the even weight
@@ -333,3 +355,54 @@ class TestSweep:
         with pytest.raises(CapacityError) as exc:
             next(_sweep(basis2, self.XS, basis2.n_max + 1))
         assert exc.value.required == basis2.n_max + 1
+
+
+def _plain_stieltjes_pass(alpha, n_max, x, w):
+    """The Stieltjes pass written with plain array expressions."""
+    W = np.exp(-PI * np.abs(x) ** alpha)
+    c0 = 1.0 / math.sqrt(float(np.sum(w * W * W)))
+    a = np.zeros(n_max)
+    h_prev = np.zeros_like(x)
+    h_cur = c0 * W
+    for k in range(n_max):
+        v = x * h_cur - (a[k - 1] if k >= 1 else 0.0) * h_prev
+        a[k] = math.sqrt(float(np.sum(w * v * v)))
+        h_prev, h_cur = h_cur, v / a[k]
+    return c0, a
+
+
+class TestStieltjesPass:
+    @pytest.mark.parametrize(
+        "alpha, n_max, panels", [(4.0, 800, 64), (4.0, 800, 128), (1.8, 100, 64)]
+    )
+    def test_same_bits_as_plain_expressions(self, alpha, n_max, panels):
+        x, w, _ = _reference_grid(alpha, n_max, panels, 24)
+        c0, a = _stieltjes_pass(alpha, n_max, x, w)
+        c0_ref, a_ref = _plain_stieltjes_pass(alpha, n_max, x, w)
+        assert c0 == c0_ref
+        assert np.array_equal(a, a_ref)
+
+
+_FOOTPRINT_SCRIPT = """
+import sys
+import freudquad, freudquad.cli
+from freudquad import build_basis, radial_moment, run_figure
+build_basis(4.0, 40)
+run_figure("fig3b", n_values=(3, 5))
+print("scipy.integrate" in sys.modules)
+print(radial_moment("mod-poly", 1.5, 7).hex())
+"""
+
+
+def test_import_and_series_route_leave_scipy_integrate_unloaded():
+    # a fresh interpreter: this one may have imported scipy.integrate already
+    src = os.path.dirname(os.path.dirname(freudquad.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out[0] == "False"
+    # the non-integer mod-poly moment still goes through the adaptive quadrature
+    assert float.fromhex(out[1]) == 6.8373792902076795
