@@ -35,7 +35,6 @@ from .mzframe import (
 )
 from .orthopoly import (
     FreudBasis,
-    StieltjesOptions,
     basis_matrix,
     build_basis,
     eval_basis,
@@ -59,7 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # basis
-    "FreudBasis", "StieltjesOptions", "weight_value", "mrs_number",
+    "FreudBasis", "weight_value", "mrs_number",
     "build_basis", "eval_basis", "basis_matrix",
     # rules
     "QuadratureRule", "gauss_rule", "integrate",

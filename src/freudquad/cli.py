@@ -11,7 +11,14 @@ Subcommands::
 
 ``wce`` and ``figure`` build their tables through the same pipeline
 (``experiments._table_rows``): ``wce`` scores Gauss rules on the named
-space, ``figure`` the documented rule families.
+space, ``figure`` the documented rule families.  ``wce --space mse2 --t T``
+runs the kernel route at T as given; s = pi (1 - 1/T) is derived for the
+report and the series route.  ``perturb`` reports the perturbed system of
+the fig3 rows (``experiments._shifted_rule``).  ``check`` tests three
+invariants at alpha = 2: the 21-node Gauss rule integrates h_0 .. h_41
+exactly, its order-20 system is the identity frame (a_n = b_n = 1), and
+its squared worst-case error at t = 5/4 is the same through the kernel
+route (``wce_me2``) and the coefficient series from k = 42 (``wce_series``).
 
 Exit codes: 0 success, 1 usage/validation error, 2 numerical failure.
 All CSV output is UTF-8, comma-separated, LF line endings, one header
@@ -32,14 +39,13 @@ import numpy as np
 from . import __version__
 from .errors import FreudQuadError
 from .experiments import (
-    FIGURE_IDS, FigureSpec, _rule_shape, _table_rows, figure_spec, run_figure,
+    FIGURE_IDS, FigureSpec, _shifted_rule, _table_rows, figure_spec, run_figure,
 )
 from .gaussquad import gauss_rule
-from .kernels import mehler
-from .mzframe import build_system, generalized_weights, perturb_nodes, support_check
+from .mzframe import build_system
 from .orthopoly import basis_matrix, build_basis
-from .spaces import lambda_of
-from .wce import WCETable, tensor_wce
+from .spaces import SpaceWeight, lambda_of
+from .wce import WCETable, tensor_wce, wce_me2, wce_series
 
 # CLI space names -> SpaceWeight kinds
 _SPACE_KINDS = {
@@ -145,8 +151,8 @@ def _cmd_wce(args) -> int:
         raise ValueError("--t applies only to --space mse2")
     if (args.p, args.q) != (None, None) and args.space != "epq":
         raise ValueError("--p and --q apply only to --space epq")
-    if args.space == "mse2" and args.t is not None:
-        # allow parameterizing the geometric family by t = pi/(pi - s)
+    if args.t is not None:
+        # the geometric family parameterized by t = pi/(pi - s)
         if args.t <= 1:
             raise ValueError("--t must exceed 1")
         args.s = math.pi * (1.0 - 1.0 / args.t)
@@ -159,18 +165,10 @@ def _cmd_wce(args) -> int:
         trunc_tol=args.trunc_tol, k_max=args.k_max, alpha=args.alpha,
     )
     if kind == "mod-exp2" and args.alpha == 2.0:
-        # the geometric family at alpha = 2 takes the closed-form kernel route
-        spec = replace(spec, t=math.pi / (math.pi - args.s))
-    if spec.t is None and args.k_max is not None:
-        # a row whose first summed mode lies past the depth would sum nothing
-        # and read as an exact rule
-        for n in ns:
-            start = _rule_shape(spec, n)[1]
-            if args.k_max < start:
-                raise ValueError(
-                    f"--k-max {args.k_max} is below the first summed mode "
-                    f"2n = {start} of row n = {n}"
-                )
+        # the geometric family at alpha = 2 takes the closed-form kernel route,
+        # at --t as given (s -> t does not round-trip exactly)
+        t = args.t if args.t is not None else math.pi / (math.pi - args.s)
+        spec = replace(spec, t=t)
     basis, rows, _, errors = _table_rows(spec)
     if errors:
         raise next(iter(errors.values()))  # the first row that failed
@@ -198,26 +196,22 @@ def _cmd_wce(args) -> int:
 
 def _cmd_perturb(args) -> int:
     basis = build_basis(args.alpha, max(args.n + 2, 64))
-    rule = gauss_rule(basis, args.n + 1)
-    nodes, tau = perturb_nodes(
-        rule, args.eps, sign_mode=args.sign_mode, seed=args.seed,
-        allow_reorder=args.allow_reorder,
+    _, _, info = _shifted_rule(
+        basis, args.n, args.eps, args.sign_mode, args.seed, args.allow_reorder, args.L
     )
-    system = build_system(basis, args.n, nodes, tau)
-    omega = generalized_weights(system, basis)
     report = {
         "alpha": args.alpha,
         "n": args.n,
         "eps": args.eps,
         "sign_mode": args.sign_mode,
         "seed": args.seed,
-        "a_n": system.a_n,
-        "b_n": system.b_n,
-        "condition": system.b_n / system.a_n,
-        "min_omega": float(np.min(omega)),
-        "all_omega_positive": bool(np.all(omega > 0)),
+        "a_n": info["a_n"],
+        "b_n": info["b_n"],
+        "condition": info["b_n"] / info["a_n"],
+        "min_omega": info["min_omega"],
+        "all_omega_positive": info["min_omega"] > 0,
         "support_check_L": args.L,
-        "support_ok": support_check(nodes, args.alpha, args.n + 1, L=args.L),
+        "support_ok": info["support_ok"],
         "tool_version": __version__,
     }
     if args.format == "json":
@@ -274,17 +268,12 @@ def _cmd_check(args) -> int:
     )
 
     t = 1.25
-    grid = np.linspace(-3.0, 3.0, 9)
-    Hg = basis_matrix(basis, grid, 300)
-    lam = t ** -(np.arange(301) + 1.0)
-    worst = 0.0
-    for i in range(9):
-        for j in range(9):
-            series = float(np.sum(lam * Hg[:, i] * Hg[:, j]))
-            closed = mehler(t, grid[i], grid[j])
-            scale = math.sqrt(mehler(t, grid[i], grid[i]) * mehler(t, grid[j], grid[j]))
-            worst = max(worst, abs(series - closed) / scale)
-    report("mehler-identity t=5/4", worst < 1e-10, f"normalized error {worst:.3e}")
+    kernel = wce_me2(rule.nodes, rule.omega, t)
+    series = wce_series(
+        rule.nodes, rule.omega, basis, SpaceWeight.mod_exp2(math.pi * (1.0 - 1.0 / t)), 42
+    )
+    rel = abs(series - kernel) / kernel
+    report("kernel-vs-series n=21 t=5/4", rel < 1e-10, f"relative difference {rel:.3e}")
 
     return 2 if failures else 0
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .gaussquad import gauss_rule
 from .mzframe import build_system, generalized_weights, perturb_nodes, support_check
-from .kernels import sup_envelope_constant
+from .kernels import _ENVELOPE_K_CAP, sup_envelope_constant
 from .orthopoly import build_basis
 from .spaces import SpaceWeight
 from .wce import WCETable, _wce_series_rows, series_truncation, wce_me2
@@ -139,39 +139,68 @@ def _required_capacity(spec: FigureSpec) -> int:
         return size + 1
     if spec.k_max is not None:
         return max(spec.k_max, size + 1)
-    sup = sup_envelope_constant(build_basis(spec.alpha, 512))
+    sup = sup_envelope_constant(build_basis(spec.alpha, _ENVELOPE_K_CAP))
     K = series_truncation(spec.space(), start, spec.trunc_tol, spec.alpha, sup)
     return max(K + 4, size + 1)
+
+
+def _check_depth(spec: FigureSpec) -> None:
+    """Reject a fixed series depth below a row's first summed mode: that
+    row would sum nothing and read as an exact rule.  Names the first
+    such row in the given order."""
+    if spec.t is not None or spec.k_max is None:
+        return
+    for n in spec.n_values:
+        start = _rule_shape(spec, n)[1]
+        if spec.k_max < start:
+            mode = "2n" if spec.eps is None else "n+1"
+            raise ValueError(
+                f"--k-max {spec.k_max} is below the first summed mode "
+                f"{mode} = {start} of row n = {n}"
+            )
+
+
+def _shifted_rule(
+    basis, n: int, eps: float, sign_mode: str, seed: int,
+    allow_reorder: bool = True, L: float = 3.0,
+) -> tuple:
+    """The (n+1)-node Gauss rule with its nodes shifted by ``eps``, the
+    system of order n on them and its generalized weights: returns
+    ``(nodes, omega, report)`` with the report's a_n, b_n, min omega and
+    support check at scale ``L``."""
+    rule = gauss_rule(basis, n + 1)
+    nodes, tau = perturb_nodes(
+        rule, eps, sign_mode=sign_mode, seed=seed, allow_reorder=allow_reorder
+    )
+    system = build_system(basis, n, nodes, tau)
+    omega = generalized_weights(system, basis)
+    report = {
+        "a_n": system.a_n,
+        "b_n": system.b_n,
+        "min_omega": float(np.min(omega)),
+        "support_ok": support_check(nodes, basis.alpha, n + 1, L=L),
+    }
+    return nodes, omega, report
 
 
 def _rule_row(spec: FigureSpec, basis, n: int) -> tuple[tuple, dict]:
     """Row n's ``(nodes, omega, start)`` triple, plus the report of its
     perturbed system (empty for plain Gauss rules)."""
     size, start = _rule_shape(spec, n)
-    rule = gauss_rule(basis, size)
     if spec.eps is None:
+        rule = gauss_rule(basis, size)
         return (rule.nodes, rule.omega, start), {}
-
-    # system of order n on n+1 perturbed nodes
-    nodes, tau = perturb_nodes(
-        rule, spec.eps, sign_mode=spec.sign_mode, seed=spec.seed, allow_reorder=True
-    )
-    system = build_system(basis, n, nodes, tau)
-    omega = generalized_weights(system, basis)
-    info = {
-        "a_n": system.a_n,
-        "b_n": system.b_n,
-        "min_omega": float(np.min(omega)),
-        "support_ok": support_check(nodes, basis.alpha, n + 1, L=3.0),
-    }
-    return (nodes, omega, start), info
+    nodes, omega, report = _shifted_rule(basis, n, spec.eps, spec.sign_mode, spec.seed)
+    return (nodes, omega, start), report
 
 
 def _table_rows(spec: FigureSpec):
     """``(basis, values, reports, errors)`` of one table, the last three
     keyed by n: one basis, kernel rows through ``wce_me2``, all series rows
     in one basis sweep.  A row that fails (rule, system, truncation,
-    capacity) is recorded in ``errors`` and fails alone."""
+    capacity) is recorded in ``errors`` and fails alone; a fixed depth
+    below a row's first summed mode fails the table (``_check_depth``)."""
+    _check_depth(spec)
     basis = build_basis(spec.alpha, _required_capacity(spec))
     values: dict[int, float] = {}
     reports: dict[int, dict] = {}

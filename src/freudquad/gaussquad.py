@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from ._accum import comp_sum
 from .errors import CapacityError, ConvergenceError, EvaluationFailure
 from .orthopoly import FreudBasis, basis_matrix, weight_value
 
@@ -98,4 +97,4 @@ def integrate(rule: QuadratureRule, f: Callable[[float], float]) -> float:
             raise EvaluationFailure(
                 f"integrand evaluation failed at node index {j} (x={x!r})", index=j
             ) from exc
-    return comp_sum(rule.omega * values)
+    return math.fsum(rule.omega * values)

@@ -17,7 +17,6 @@ import math
 import numpy as np
 from scipy.special import gamma, gammaincc
 
-from ._accum import comp_sum
 from .errors import CapacityError, UnboundedTailError
 from .orthopoly import FreudBasis, basis_matrix, mrs_number
 from .spaces import SpaceWeight, lambda_of
@@ -189,4 +188,4 @@ def truncated_kernel(
     H = basis_matrix(basis, np.array([x, y]), K)
     k = np.arange(start, K + 1)
     lam = lambda_of(space, k)
-    return comp_sum(H[start:, 0] * H[start:, 1] / lam)
+    return math.fsum(H[start:, 0] * H[start:, 1] / lam)

@@ -13,12 +13,12 @@ which reduce to the Christoffel weights for exact Gauss nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 
-from ._accum import comp_sum
 from .errors import GapViolationError, NotAFrameError
 from .gaussquad import QuadratureRule
 from .orthopoly import FreudBasis, basis_matrix, mrs_number
@@ -186,4 +186,4 @@ def phi_lambda(
     for value in values:
         if isinstance(value, Exception):
             raise value
-    return comp_sum(values)
+    return math.fsum(values)

@@ -26,13 +26,20 @@ from .errors import CapacityError, ConvergenceError
 
 __all__ = [
     "FreudBasis",
-    "StieltjesOptions",
     "weight_value",
     "mrs_number",
     "build_basis",
     "eval_basis",
     "basis_matrix",
 ]
+
+
+# Stieltjes iteration (alpha != 2)
+_COEFF_TOL = 1e-13      # stabilization target between refinements
+_ORTHO_TOL = 1e-8       # orthonormality defect on the verification grid
+_INITIAL_PANELS = 16    # composite Gauss-Legendre panels (even count)
+_PANEL_DEGREE = 24      # points per panel
+_MAX_DOUBLINGS = 8
 
 
 def weight_value(alpha: float, x):
@@ -59,17 +66,6 @@ def mrs_number(alpha: float, n: int) -> float:
         raise ValueError(f"degree must be >= 1, got n={n}")
     const = (gamma(alpha / 2.0) ** 2 / (4.0 * gamma(alpha))) ** (1.0 / alpha)
     return 2.0 / math.sqrt(math.pi) * const * n ** (1.0 / alpha)
-
-
-@dataclass(frozen=True)
-class StieltjesOptions:
-    """Controls for the recurrence-coefficient iteration (alpha != 2)."""
-
-    coeff_tol: float = 1e-13      # stabilization target between refinements
-    ortho_tol: float = 1e-8       # orthonormality defect on the verification grid
-    initial_panels: int = 16      # composite Gauss-Legendre panels (even count)
-    panel_degree: int = 24        # points per panel
-    max_doublings: int = 8
 
 
 @dataclass(frozen=True)
@@ -202,14 +198,12 @@ def _verify_orthonormality(basis: FreudBasis, x, w, tol: float) -> float:
     return defect
 
 
-def build_basis(
-    alpha: float, n_max: int, opts: StieltjesOptions | None = None
-) -> FreudBasis:
+def build_basis(alpha: float, n_max: int) -> FreudBasis:
     """Construct the weighted basis up to index ``n_max``.
 
     alpha = 2 uses the closed forms unconditionally.  Otherwise the
     Stieltjes procedure runs on the reference grid, doubling the panel
-    count until every coefficient moves by less than ``opts.coeff_tol``
+    count until every coefficient moves by less than ``_COEFF_TOL``
     (relative), and the result is checked for orthonormality on a finer
     grid than the one that produced it.
     """
@@ -217,7 +211,6 @@ def build_basis(
         raise ValueError(f"weight exponent must exceed 1, got alpha={alpha}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    opts = opts or StieltjesOptions()
 
     if alpha == 2.0:
         k = np.arange(1, n_max + 1, dtype=float)
@@ -226,24 +219,24 @@ def build_basis(
     # c0 in closed form, independently of the panel grid
     c0 = _c0(alpha)
 
-    panels = opts.initial_panels
+    panels = _INITIAL_PANELS
     prev = None
-    for _ in range(opts.max_doublings + 1):
-        x, w, _ = _reference_grid(alpha, n_max, panels, opts.panel_degree)
+    for _ in range(_MAX_DOUBLINGS + 1):
+        x, w, _ = _reference_grid(alpha, n_max, panels, _PANEL_DEGREE)
         _, a = _stieltjes_pass(alpha, n_max, x, w)
         if prev is not None:
             change = np.abs(a - prev) / np.abs(a)
-            if change.max() < opts.coeff_tol:
+            if change.max() < _COEFF_TOL:
                 basis = FreudBasis(float(alpha), c0, a, n_max)
-                xf, wf, _ = _reference_grid(alpha, n_max, 2 * panels, opts.panel_degree)
-                _verify_orthonormality(basis, xf, wf, opts.ortho_tol)
+                xf, wf, _ = _reference_grid(alpha, n_max, 2 * panels, _PANEL_DEGREE)
+                _verify_orthonormality(basis, xf, wf, _ORTHO_TOL)
                 return basis
         prev = a
         panels *= 2
     failing = int(np.argmax(np.abs(a - prev))) + 1 if prev is not None else 1
     raise ConvergenceError(
-        f"recurrence coefficients did not stabilize to {opts.coeff_tol:.1e} "
-        f"(worst index {failing}) after {opts.max_doublings} refinements",
+        f"recurrence coefficients did not stabilize to {_COEFF_TOL:.1e} "
+        f"(worst index {failing}) after {_MAX_DOUBLINGS} refinements",
         index=failing,
     )
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from ._accum import comp_sum
 from .errors import CapacityError, FreudQuadError
 from .kernels import sup_envelope_constant, tail_index
 from .orthopoly import FreudBasis, _sweep
@@ -197,7 +196,7 @@ def _wce_series_rows(
                 e[0] -= 1.0 / basis.c0  # integral of h_0 W; zero for k >= 1
             sq.append(e * e)
     for slot, _, start, K, _, sq in live:
-        results[slot] = comp_sum(np.concatenate(sq) / lam[start - k_lo:K + 1 - k_lo])
+        results[slot] = math.fsum(np.concatenate(sq) / lam[start - k_lo:K + 1 - k_lo])
     return results
 
 

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from freudquad import run_figure
+import freudquad.cli as cli
+from freudquad import build_basis, gauss_rule, run_figure, wce_me2
 from freudquad.cli import main
 
 # stdout of ``freudq wce`` and ``freudq figure`` tables (CSV and JSON, kernel
@@ -12,6 +13,10 @@ from freudquad.cli import main
 # a change in the reported results
 GOLDEN_WCE = json.loads(
     (Path(__file__).parent / "data" / "cli_wce_n3_9.json").read_text()
+)
+# stdout of ``freudq perturb`` reports (CSV and JSON, alpha = 2 and 4)
+GOLDEN_PERTURB = json.loads(
+    (Path(__file__).parent / "data" / "cli_perturb_n20.json").read_text()
 )
 
 
@@ -120,6 +125,20 @@ class TestWce:
         assert payload["params"]["t"] == pytest.approx(1.25)
         assert payload["params"]["s"] == pytest.approx(math.pi / 5)
 
+    def test_t_is_used_as_given(self, capsys):
+        # pi / (pi - pi (1 - 1/3)) is 3.000000000000001, not 3
+        code, out, _ = run_cli(
+            capsys, "wce", "--space", "mse2", "--t", "3", "--n-range", "3:5:2",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["params"]["t"] == 3.0
+        basis = build_basis(2.0, 6)
+        for n, value in payload["rows"]:
+            rule = gauss_rule(basis, n)
+            assert value == wce_me2(rule.nodes, rule.omega, 3.0)
+
     def test_tensor_dimension(self, capsys):
         base = run_cli(
             capsys, "wce", "--space", "mse2", "--t", "1.25", "--n-range", "3,5",
@@ -196,6 +215,12 @@ class TestPerturb:
         assert payload["support_ok"] is True
         assert 0.9 < payload["a_n"] <= payload["b_n"] < 1.1
 
+    @pytest.mark.parametrize("command", sorted(GOLDEN_PERTURB))
+    def test_golden_report_bytes(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert out == GOLDEN_PERTURB[command]
+
     def test_gap_violation_is_numerical_failure(self, capsys):
         code, _, err = run_cli(
             capsys, "perturb", "--n", "20", "--eps", "0.5", "--sign-mode", "random"
@@ -210,6 +235,16 @@ class TestCheck:
         assert code == 0
         assert out.count("PASS") == 3
         assert "FAIL" not in out
+
+    def test_series_route_drift_fails(self, capsys, monkeypatch):
+        real = cli.wce_series
+        monkeypatch.setattr(
+            cli, "wce_series", lambda *a, **k: real(*a, **k) * (1.0 + 1e-8)
+        )
+        code, out, _ = run_cli(capsys, "check")
+        assert code == 2
+        assert out.count("PASS") == 2
+        assert "FAIL  kernel-vs-series" in out
 
 
 class TestValidation:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,18 @@ class TestRunFigure:
         )
         monkeypatch.undo()
         assert table.wce == run_figure("fig2a", n_values=(3, 5)).wce
+
+    @pytest.mark.parametrize(
+        "fid, n_values, k_max, message",
+        [
+            ("fig2a", (3, 5, 7, 9), 16, "2n = 18 of row n = 9"),
+            ("fig3a", (3, 9, 5, 11), 8, "n+1 = 10 of row n = 9"),
+        ],
+    )
+    def test_depth_below_first_mode_is_rejected(self, fid, n_values, k_max, message):
+        # such a row would sum no mode and be written as an exact rule
+        with pytest.raises(ValueError, match=re.escape(f"first summed mode {message}")):
+            run_figure(fid, n_values=n_values, k_max=k_max)
 
     def test_theory_slopes(self):
         assert run_figure("fig1a", n_values=(3, 5, 7)).theory_slope == pytest.approx(

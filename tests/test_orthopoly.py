@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freudquad
+import freudquad.orthopoly as orthopoly
 from freudquad import (
     CapacityError,
     ConvergenceError,
     FreudBasis,
-    StieltjesOptions,
     basis_matrix,
     build_basis,
     eval_basis,
@@ -137,10 +137,11 @@ class TestBuildBasisGeneralAlpha:
             val = np.trapezoid(xs * H[k] * H[k], xs)
             assert abs(val) < 1e-12
 
-    def test_stieltjes_no_convergence_reports(self):
-        opts = StieltjesOptions(coeff_tol=1e-30, max_doublings=1)
+    def test_stieltjes_no_convergence_reports(self, monkeypatch):
+        monkeypatch.setattr(orthopoly, "_COEFF_TOL", 1e-30)
+        monkeypatch.setattr(orthopoly, "_MAX_DOUBLINGS", 1)
         with pytest.raises(ConvergenceError):
-            build_basis(4.0, 10, opts)
+            build_basis(4.0, 10)
 
 
 class TestFreudEquation:
