@@ -31,7 +31,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,23 +159,19 @@ def _cmd_wce(args) -> int:
     weight = {k: getattr(args, k) for k in (("p", "q") if kind == "exp" else ("s",))}
     if None in weight.values():
         raise ValueError("--space epq needs --p and --q")
+    # --t is kept as given: s -> t does not round-trip exactly
     spec = FigureSpec(
         id="wce", n_values=tuple(ns), seed=args.seed, space_kind=kind, **weight,
-        trunc_tol=args.trunc_tol, k_max=args.k_max, alpha=args.alpha,
+        t=args.t, trunc_tol=args.trunc_tol, k_max=args.k_max, alpha=args.alpha,
     )
-    if kind == "mod-exp2" and args.alpha == 2.0:
-        # the geometric family at alpha = 2 takes the closed-form kernel route,
-        # at --t as given (s -> t does not round-trip exactly)
-        t = args.t if args.t is not None else math.pi / (math.pi - args.s)
-        spec = replace(spec, t=t)
     basis, rows, _, errors = _table_rows(spec)
     if errors:
         raise next(iter(errors.values()))  # the first row that failed
     values = [rows[n] for n in ns]
 
     params = {"space": args.space, "alpha": args.alpha}
-    if spec.t is not None:
-        params.update(s=args.s, t=spec.t, seed=args.seed, trunc_tol=args.trunc_tol)
+    if spec._kernel_t is not None:
+        params.update(s=args.s, t=spec._kernel_t, seed=args.seed, trunc_tol=args.trunc_tol)
     else:
         params.update(
             seed=args.seed, trunc_tol=args.trunc_tol, **spec.space().describe()

@@ -47,13 +47,15 @@ _POLY_DEPTH = 40_000
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """Fully resolved parameters of one error-decay table: ``t`` set means
-    the closed-form kernel route, ``eps`` set means shifted rules."""
+    """Fully resolved parameters of one error-decay table: ``eps`` set
+    means shifted rules.  ``t`` is the geometric decay t^(k+1): with no
+    ``space_kind`` (fig1a, fig1b) it sets the closed-form kernel route, and
+    a mod-exp2 weight keeps it in place of pi/(pi - s)."""
 
     id: str
     n_values: tuple
     seed: int = 7
-    t: float | None = None            # kernel route: geometric decay parameter
+    t: float | None = None            # geometric decay parameter
     s: float | None = None            # series route: space parameters
     space_kind: str | None = None
     eps: float | None = None          # shifted rules: perturbation magnitude
@@ -73,12 +75,23 @@ class FigureSpec:
     def space(self) -> SpaceWeight | None:
         if self.space_kind is None:
             return None
-        return SpaceWeight(self.space_kind, s=self.s, p=self.p, q=self.q)
+        return SpaceWeight(self.space_kind, s=self.s, p=self.p, q=self.q, _t=self.t)
+
+    @property
+    def _kernel_t(self) -> float | None:
+        """t of the closed-form kernel route, None on the series route.
+        Mehler's formula is for the Gaussian weight, so a mod-exp2 table at
+        another alpha sums its series at the weight's t."""
+        if self.space_kind is None:
+            return self.t
+        if self.space_kind == "mod-exp2" and self.alpha == 2.0:
+            return self.space()._t
+        return None
 
     @property
     def axis(self) -> str:
         """Slope-fit abscissa: n, sqrt(n) for exponential weights, log10(n)."""
-        if self.t is not None:
+        if self._kernel_t is not None:
             return "n"
         return "sqrt-n" if self.space_kind in ("exp", "mod-exp") else "log-n"
 
@@ -135,7 +148,7 @@ def _required_capacity(spec: FigureSpec) -> int:
     """The largest rule's size plus one, and on the series route the fixed
     depth or the top row's truncation index plus a margin of four."""
     size, start = _rule_shape(spec, max(spec.n_values))
-    if spec.t is not None:
+    if spec._kernel_t is not None:
         return size + 1
     if spec.k_max is not None:
         return max(spec.k_max, size + 1)
@@ -148,7 +161,7 @@ def _check_depth(spec: FigureSpec) -> None:
     """Reject a fixed series depth below a row's first summed mode: that
     row would sum nothing and read as an exact rule.  Names the first
     such row in the given order."""
-    if spec.t is not None or spec.k_max is None:
+    if spec._kernel_t is not None or spec.k_max is None:
         return
     for n in spec.n_values:
         start = _rule_shape(spec, n)[1]
@@ -206,12 +219,13 @@ def _table_rows(spec: FigureSpec):
     reports: dict[int, dict] = {}
     errors: dict[int, Exception] = {}
     rows: dict[int, tuple] = {}
+    kernel_t = spec._kernel_t
 
     for n in dict.fromkeys(spec.n_values):  # a repeated n is one row
         try:
             row, info = _rule_row(spec, basis, n)
-            if spec.t is not None:
-                values[n] = wce_me2(row[0], row[1], spec.t)
+            if kernel_t is not None:
+                values[n] = wce_me2(row[0], row[1], kernel_t)
             else:
                 rows[n] = row
             if info:

@@ -139,8 +139,7 @@ def tail_index(
     equivalent = space.coefficient_equivalent()  # an exp weight returns itself
     p, q, scale = equivalent.p, equivalent.q, 1.0
     if space.kind == "mod-exp2":  # lambda_k = t^(k+1) = t * e^(k log t)
-        t = math.pi / (math.pi - space.s)
-        scale = 1.0 / t
+        scale = 1.0 / space._t
 
     def bound(K: int) -> float:
         return _exp_tail_bound(K, p, q, g, scale * sup_const)

@@ -189,6 +189,7 @@ def _verify_orthonormality(basis: FreudBasis, x, w, tol: float) -> float:
         He, Ho = H[0::2], H[1::2]
         Ge += He @ He.T
         Go += Ho @ Ho.T
+        del H, He, Ho  # so the next chunk is not built while this one is held
     # np.max, unlike max(), keeps a NaN from either block
     defect = float(np.max([np.abs(G - np.eye(len(G))).max() for G in (Ge, Go)]))
     if not defect <= tol:

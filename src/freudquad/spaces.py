@@ -19,7 +19,7 @@ evaluator ``stft_grid_norm_sq`` exists as an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -41,14 +41,26 @@ __all__ = [
 _KINDS = ("poly", "exp", "mod-poly", "mod-exp", "mod-exp2")
 
 
+def _geometric_t(s: float) -> float:
+    """The ratio t = pi/(pi - s) of the mod-exp2 weight t^(k+1), for when
+    only s is known."""
+    return math.pi / (math.pi - s)
+
+
 @dataclass(frozen=True)
 class SpaceWeight:
-    """One of the five coefficient-weight families."""
+    """One of the five coefficient-weight families.
+
+    A mod-exp2 weight keeps its ratio t in ``_t``: the t it was built from
+    when given (s = pi(1 - 1/t) does not always round-trip to t), else
+    ``_geometric_t(s)``.
+    """
 
     kind: str
     s: float | None = None
     p: float | None = None
     q: float | None = None
+    _t: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -61,6 +73,11 @@ class SpaceWeight:
                 raise ValueError(f"{self.kind} weights need s >= 0")
             if self.kind == "mod-exp2" and self.s >= math.pi:
                 raise ValueError("mod-exp2 needs 0 <= s < pi")
+        if self.kind != "mod-exp2":
+            if self._t is not None:
+                raise ValueError(f"a ratio t applies only to mod-exp2, not {self.kind!r}")
+        elif self._t is None:
+            object.__setattr__(self, "_t", _geometric_t(self.s))
 
     # constructors
     @classmethod
@@ -96,7 +113,7 @@ class SpaceWeight:
         if self.kind == "mod-exp":
             return SpaceWeight.exponential(0.5, self.s / math.sqrt(math.pi))
         if self.kind == "mod-exp2":
-            return SpaceWeight.exponential(1.0, math.log(math.pi / (math.pi - self.s)))
+            return SpaceWeight.exponential(1.0, math.log(self._t))
         return self
 
     def describe(self) -> dict:
@@ -148,9 +165,8 @@ def lambda_of(space: SpaceWeight, k):
         with np.errstate(over="ignore"):
             out = np.exp(space.s / math.sqrt(math.pi) * np.sqrt(kf))
     elif space.kind == "mod-exp2":
-        t = math.pi / (math.pi - space.s)
         with np.errstate(over="ignore"):
-            out = np.exp((kf + 1.0) * math.log(t))
+            out = np.exp((kf + 1.0) * math.log(space._t))
     elif float(space.s).is_integer():  # mod-poly: exact radial moments
         out = _mod_poly_moments(int(space.s), kf)
     else:
@@ -192,8 +208,7 @@ def _mod_poly_moments(s: int, k: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _radial_moment_cached(kind: str, s: float, k: int) -> float:
     if kind == "mod-exp2":
-        t = math.pi / (math.pi - s)
-        return t ** (k + 1)
+        return _geometric_t(s) ** (k + 1)
 
     if kind == "mod-poly" and float(s).is_integer():
         return float(_mod_poly_moments(int(s), np.array(float(k))))

@@ -11,8 +11,9 @@ space:
 
 The kernel route subtracts two nearly equal quantities (the double sum
 cancels to ~1e-19 absolute for the deep-decay cases), so it is evaluated
-in 40-digit arithmetic; costs stay in milliseconds because node counts
-are small.
+in 40-digit arithmetic: one ``mp.exp`` per node pair, about m^2/2 for m
+nodes, and about m^2/4 on a rule whose nodes and weights are mirrored about
+0 (every Gauss rule), where each mirrored pair's term is reused.
 """
 
 from __future__ import annotations
@@ -61,6 +62,14 @@ def wce_me2(nodes, omega, t: float) -> float:
     expression collapses to the double sum minus 1/(sqrt(2) t); keeping
     the computed cross term removes first-order sensitivity to the
     rule's own exactness residual.
+
+    The double sum costs one 40-digit ``mp.exp`` per pair i <= j.  When the
+    input is mirrored bit for bit (nodes == -nodes[::-1] and omega ==
+    omega[::-1], as ``gauss_rule`` makes every rule) the term of pair
+    (i, j) is bit-identical to that of (m-1-j, m-1-i), so it is taken from
+    the earlier row instead: m = 41 needs 441 kernel exponentials instead
+    of 861.  Any other input takes the general path; the terms and their
+    order are the same either way, so the result is too.
     """
     if t <= 1:
         raise ValueError(f"kernel parameter must exceed 1, got t={t}")
@@ -72,23 +81,34 @@ def wce_me2(nodes, omega, t: float) -> float:
             stacklevel=2,
         )
         return float(1.0 / (math.sqrt(2.0) * t))
+    # a mirrored pair's term is bit-identical: t, x and omega are float64,
+    # so at 40 digits x^2 and w_i w_j are exact and 4t x_i x_j is one
+    # rounding of a value symmetric in the pair and its signs
+    m = nodes.size
+    mirrored = np.array_equal(nodes, -nodes[::-1]) and np.array_equal(omega, omega[::-1])
     with mp.workdps(_ME2_DPS):
         tm = mp.mpf(t)
         pref = mp.sqrt(2 / (tm * tm - 1))
         c = mp.pi / (tm * tm - 1)
+        c_diag = c * (4 * tm - 2 * (tm * tm + 1))
+        t4, t2p1 = 4 * tm, tm * tm + 1
         xs = [mp.mpf(float(v)) for v in nodes]
         ws = [mp.mpf(float(v)) for v in omega]
-        terms = []
-        m = len(xs)
+        sq = [x * x for x in xs]
+        terms, row_start = [], []
         for i in range(m):
+            row_start.append(len(terms))
             xi, wi = xs[i], ws[i]
-            terms.append(wi * wi * pref * mp.exp(c * (4 * tm - 2 * (tm * tm + 1)) * xi * xi))
-            for j in range(i + 1, m):
-                xj = xs[j]
-                kv = pref * mp.exp(
-                    c * (4 * tm * xi * xj - (tm * tm + 1) * (xi * xi + xj * xj))
-                )
-                terms.append(2 * wi * ws[j] * kv)
+            # columns j >= fresh repeat the term of an earlier row
+            fresh = m - i if mirrored else m
+            if i < fresh:
+                terms.append(wi * wi * pref * mp.exp(c_diag * xi * xi))
+            t4xi, wi2, sqi = t4 * xi, 2 * wi, sq[i]
+            for j in range(i + 1, fresh):
+                kv = pref * mp.exp(c * (t4xi * xs[j] - t2p1 * (sqi + sq[j])))
+                terms.append(wi2 * ws[j] * kv)
+            for j in range(max(i, fresh), m):
+                terms.append(terms[row_start[m - 1 - j] + j - i])
         double_sum = mp.fsum(terms)
         cross = mp.fsum(w * mp.exp(-mp.pi * x * x) for w, x in zip(ws, xs))
         val = 1 / (mp.sqrt(2) * tm) + double_sum - 2 * cross / tm

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 import freudquad.cli as cli
-from freudquad import build_basis, gauss_rule, run_figure, wce_me2
+from freudquad import (
+    SpaceWeight, build_basis, gauss_rule, run_figure, tensor_wce, wce_me2, wce_series,
+)
 from freudquad.cli import main
 
 # stdout of ``freudq wce`` and ``freudq figure`` tables (CSV and JSON, kernel
@@ -138,6 +140,34 @@ class TestWce:
         for n, value in payload["rows"]:
             rule = gauss_rule(basis, n)
             assert value == wce_me2(rule.nodes, rule.omega, 3.0)
+
+    def test_t_reaches_the_tensor_lift(self, capsys):
+        # lambda_0 = e^(log t) at t = 3.0 itself
+        code, out, _ = run_cli(
+            capsys, "wce", "--space", "mse2", "--t", "3", "--dim", "2",
+            "--n-range", "3:5:2", "--format", "json",
+        )
+        assert code == 0
+        basis = build_basis(2.0, 6)
+        for n, value in json.loads(out)["rows"]:
+            rule = gauss_rule(basis, n)
+            one_dim = wce_me2(rule.nodes, rule.omega, 3.0)
+            lam0 = math.exp(math.log(3.0))
+            assert value == tensor_wce(one_dim, 1.0 / basis.c0, lam0, 2)
+
+    def test_t_reaches_the_series_route(self, capsys):
+        # alpha = 4 sums the series at lambda_k = 3^(k+1), not at the
+        # round-tripped t = 3.000000000000001
+        code, out, _ = run_cli(
+            capsys, "wce", "--alpha", "4", "--space", "mse2", "--t", "3",
+            "--k-max", "20", "--n-range", "3:5:2", "--format", "json",
+        )
+        assert code == 0
+        basis = build_basis(4.0, 20)
+        space = SpaceWeight("mod-exp2", s=math.pi * (1.0 - 1.0 / 3.0), _t=3.0)
+        for n, value in json.loads(out)["rows"]:
+            rule = gauss_rule(basis, n)
+            assert value == wce_series(rule.nodes, rule.omega, basis, space, 2 * n, k_max=20)
 
     def test_tensor_dimension(self, capsys):
         base = run_cli(

@@ -238,6 +238,21 @@ class TestVerifyOrthonormality:
             tracemalloc.stop()
         assert peak < full
 
+    def test_holds_one_chunk_at_a_time(self):
+        # three chunks of positive points: the next chunk must not be built
+        # while the previous one is still referenced
+        basis = build_basis(2.0, 100)
+        x, w, _ = _reference_grid(2.0, 100, 1024, 24)
+        assert x.size // 2 == 3 * orthopoly._GRAM_CHUNK
+        chunk = (basis.n_max + 1) * orthopoly._GRAM_CHUNK * 8
+        tracemalloc.start()
+        try:
+            _verify_orthonormality(basis, x, w, 1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * chunk
+
 
 class TestEvalBasis:
     def test_h0_at_origin(self, basis2):

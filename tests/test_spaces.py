@@ -92,6 +92,20 @@ class TestSpaceWeight:
         assert np.max(np.abs(direct - mapped) / direct) < 1e-12
 
 
+    def test_mod_exp2_keeps_its_t(self):
+        # pi/(pi - pi(1 - 1/3)) is 3.000000000000001: a weight given t = 3
+        # keeps 3.0, one given s alone derives t from it
+        s = PI * (1.0 - 1.0 / 3.0)
+        given = SpaceWeight("mod-exp2", s=s, _t=3.0)
+        k = np.arange(6)
+        assert np.array_equal(lambda_of(given, k), np.exp((k + 1.0) * math.log(3.0)))
+        assert given.coefficient_equivalent().q == math.log(3.0)
+        assert given.describe() == SpaceWeight.mod_exp2(s).describe()
+        assert SpaceWeight.mod_exp2(s)._t == PI / (PI - s) != 3.0
+        with pytest.raises(ValueError, match="only to mod-exp2"):
+            SpaceWeight("mod-exp", s=1.0, _t=3.0)
+
+
 class TestCoeffNorm:
     def test_basis_element(self):
         sw = SpaceWeight.polynomial(2.0)

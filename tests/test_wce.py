@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from freudquad import (
     wce_series,
 )
 import freudquad.wce as wce_mod
+from freudquad.experiments import _shifted_rule
 from freudquad.wce import _wce_series_rows, series_truncation
 
 PI = math.pi
@@ -29,6 +31,43 @@ PI = math.pi
 
 def geometric_space(t: float) -> SpaceWeight:
     return SpaceWeight.mod_exp2(PI * (1.0 - 1.0 / t))
+
+
+def me2_reference(nodes, omega, t):
+    """wce_me2 written out pair by pair: every term computed in place."""
+    with mp.workdps(40):
+        tm = mp.mpf(t)
+        pref = mp.sqrt(2 / (tm * tm - 1))
+        c = mp.pi / (tm * tm - 1)
+        xs = [mp.mpf(float(v)) for v in nodes]
+        ws = [mp.mpf(float(v)) for v in omega]
+        terms = []
+        m = len(xs)
+        for i in range(m):
+            xi, wi = xs[i], ws[i]
+            terms.append(wi * wi * pref * mp.exp(c * (4 * tm - 2 * (tm * tm + 1)) * xi * xi))
+            for j in range(i + 1, m):
+                xj = xs[j]
+                kv = pref * mp.exp(
+                    c * (4 * tm * xi * xj - (tm * tm + 1) * (xi * xi + xj * xj))
+                )
+                terms.append(2 * wi * ws[j] * kv)
+        double_sum = mp.fsum(terms)
+        cross = mp.fsum(w * mp.exp(-mp.pi * x * x) for w, x in zip(ws, xs))
+        return float(1 / (mp.sqrt(2) * tm) + double_sum - 2 * cross / tm)
+
+
+def count_exp(monkeypatch):
+    """Count the mp.exp calls made from here on."""
+    calls = [0]
+    exp = mp.exp
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "exp", counted)
+    return calls
 
 
 class TestWceMe2:
@@ -72,6 +111,42 @@ class TestWceMe2:
                 for n in ns]
         slope, _ = slope_fit(ns, np.log10(vals))
         assert slope <= -2.0 * math.log10(1.25) + 0.02
+
+
+class TestWceMe2Terms:
+    """wce_me2 reuses mirrored terms and hoists invariants without moving a bit."""
+
+    @pytest.mark.parametrize("t", [1.25, 50.0 / 49.0, 3.0])
+    def test_gauss_rules_match_reference(self, basis2, t):
+        for n in range(1, 42):
+            rule = gauss_rule(basis2, n)
+            assert wce_me2(rule.nodes, rule.omega, t) == me2_reference(
+                rule.nodes, rule.omega, t
+            ), n
+
+    @pytest.mark.parametrize("n", [3, 8, 21])
+    def test_shifted_rules_match_reference(self, basis2, n):
+        nodes, omega, _ = _shifted_rule(basis2, n, 0.1, "positive", 7)
+        assert not np.array_equal(nodes, -nodes[::-1])
+        for t in (1.25, 50.0 / 49.0, 3.0):
+            assert wce_me2(nodes, omega, t) == me2_reference(nodes, omega, t)
+
+    def test_one_ulp_off_mirror_takes_general_path(self, basis2, monkeypatch):
+        rule = gauss_rule(basis2, 9)
+        omega = rule.omega.copy()
+        omega[2] = np.nextafter(omega[2], np.inf)
+        expected = me2_reference(rule.nodes, omega, 1.25)
+        calls = count_exp(monkeypatch)
+        assert wce_me2(rule.nodes, omega, 1.25) == expected
+        assert calls[0] == 9 * 10 // 2 + 9  # every pair i <= j, then the cross sum
+
+    def test_mirrored_rule_computes_each_term_once(self, basis2, monkeypatch):
+        # 861 pairs i <= j on 41 nodes: 21 are their own mirror image, the
+        # other 840 form 420 mirrored couples; plus 41 for the cross sum
+        rule = gauss_rule(basis2, 41)
+        calls = count_exp(monkeypatch)
+        wce_me2(rule.nodes, rule.omega, 1.25)
+        assert calls[0] == 21 + 420 + 41
 
 
 class TestWceSeries:
