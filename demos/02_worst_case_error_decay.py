@@ -23,7 +23,7 @@ basis = build_basis(2.0, 2000)
 # --- cross-check the two routes at one rule ---------------------------------
 t = 1.25
 rule = gauss_rule(basis, 9)
-space = SpaceWeight.mod_exp2(np.pi * (1 - 1 / t))
+space = SpaceWeight.geometric(t)
 v_kernel = wce_me2(rule.nodes, rule.omega, t)
 v_series = wce_series(rule.nodes, rule.omega, basis, space, start=18)
 print("kernel route :", v_kernel)

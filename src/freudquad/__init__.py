@@ -19,12 +19,7 @@ from .errors import (
 )
 from .experiments import FIGURE_IDS, FigureSpec, figure_spec, run_figure
 from .gaussquad import QuadratureRule, gauss_rule, integrate
-from .kernels import (
-    mehler,
-    sup_envelope_constant,
-    tail_index,
-    truncated_kernel,
-)
+from .kernels import mehler, sup_envelope_constant, tail_index
 from .mzframe import (
     MZSystem,
     build_system,
@@ -63,8 +58,7 @@ __all__ = [
     # rules
     "QuadratureRule", "gauss_rule", "integrate",
     # kernels
-    "mehler", "truncated_kernel", "tail_index",
-    "sup_envelope_constant",
+    "mehler", "tail_index", "sup_envelope_constant",
     # spaces
     "SpaceWeight", "HermiteExpansion", "GridSpec", "lambda_of",
     "coeff_norm_sq", "radial_moment", "modulation_norm_sq",

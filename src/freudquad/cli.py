@@ -12,8 +12,8 @@ Subcommands::
 ``wce`` and ``figure`` build their tables through the same pipeline
 (``experiments._table_rows``): ``wce`` scores Gauss rules on the named
 space, ``figure`` the documented rule families.  ``wce --space mse2 --t T``
-runs the kernel route at T as given; s = pi (1 - 1/T) is derived for the
-report and the series route.  ``perturb`` reports the perturbed system of
+scores the geometric weight at T as given; s = pi (1 - 1/T) is derived for
+the report.  ``perturb`` reports the perturbed system of
 the fig3 rows (``experiments._shifted_rule``).  ``check`` tests three
 invariants at alpha = 2: the 21-node Gauss rule integrates h_0 .. h_41
 exactly, its order-20 system is the identity frame (a_n = b_n = 1), and
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -38,7 +37,8 @@ import numpy as np
 from . import __version__
 from .errors import FreudQuadError
 from .experiments import (
-    FIGURE_IDS, FigureSpec, _shifted_rule, _table_rows, figure_spec, run_figure,
+    FIGURE_IDS, SPACE_NAMES, FigureSpec, _shifted_rule, _table_rows, figure_spec,
+    run_figure,
 )
 from .gaussquad import gauss_rule
 from .mzframe import build_system
@@ -47,9 +47,7 @@ from .spaces import SpaceWeight, lambda_of
 from .wce import WCETable, tensor_wce, wce_me2, wce_series
 
 # CLI space names -> SpaceWeight kinds
-_SPACE_KINDS = {
-    "hs": "poly", "epq": "exp", "ms": "mod-poly", "mse": "mod-exp", "mse2": "mod-exp2",
-}
+_SPACE_KINDS = {name: kind for kind, name in SPACE_NAMES.items()}
 
 
 def _fmt(x: float) -> str:
@@ -150,19 +148,24 @@ def _cmd_wce(args) -> int:
         raise ValueError("--t applies only to --space mse2")
     if (args.p, args.q) != (None, None) and args.space != "epq":
         raise ValueError("--p and --q apply only to --space epq")
-    if args.t is not None:
-        # the geometric family parameterized by t = pi/(pi - s)
+    if args.s is not None and args.space == "epq":
+        raise ValueError("--s does not apply to --space epq")
+    if args.s is not None and args.t is not None:
+        raise ValueError("--s and --t both set the mse2 weight; give one")
+    kind = _SPACE_KINDS[args.space]
+    if kind == "exp":
+        if None in (args.p, args.q):
+            raise ValueError("--space epq needs --p and --q")
+        weight = SpaceWeight.exponential(args.p, args.q)
+    elif args.t is not None:
         if args.t <= 1:
             raise ValueError("--t must exceed 1")
-        args.s = math.pi * (1.0 - 1.0 / args.t)
-    kind = _SPACE_KINDS[args.space]
-    weight = {k: getattr(args, k) for k in (("p", "q") if kind == "exp" else ("s",))}
-    if None in weight.values():
-        raise ValueError("--space epq needs --p and --q")
-    # --t is kept as given: s -> t does not round-trip exactly
+        weight = SpaceWeight.geometric(args.t)
+    else:
+        weight = SpaceWeight(kind, s=1.0 if args.s is None else args.s)
     spec = FigureSpec(
-        id="wce", n_values=tuple(ns), seed=args.seed, space_kind=kind, **weight,
-        t=args.t, trunc_tol=args.trunc_tol, k_max=args.k_max, alpha=args.alpha,
+        id="wce", n_values=tuple(ns), space_weight=weight, seed=args.seed,
+        trunc_tol=args.trunc_tol, k_max=args.k_max, alpha=args.alpha,
     )
     basis, rows, _, errors = _table_rows(spec)
     if errors:
@@ -170,18 +173,16 @@ def _cmd_wce(args) -> int:
     values = [rows[n] for n in ns]
 
     params = {"space": args.space, "alpha": args.alpha}
-    if spec._kernel_t is not None:
-        params.update(s=args.s, t=spec._kernel_t, seed=args.seed, trunc_tol=args.trunc_tol)
+    if spec.kernel_route:
+        params.update(s=weight.s, t=spec.t, seed=args.seed, trunc_tol=args.trunc_tol)
     else:
-        params.update(
-            seed=args.seed, trunc_tol=args.trunc_tol, **spec.space().describe()
-        )
+        params.update(seed=args.seed, trunc_tol=args.trunc_tol, **weight.describe())
         if spec.k_max is not None:
             params["k_max"] = spec.k_max
     if args.dim != 1:
         # tensor extension: per-coordinate squared error lifts exactly;
         # tensor_wce rejects d < 1
-        lam0 = float(lambda_of(spec.space(), 0))
+        lam0 = float(lambda_of(weight, 0))
         values = [tensor_wce(v, 1.0 / basis.c0, lam0, args.dim) for v in values]
         params["dim"] = args.dim
     table = WCETable.from_rows(params, ns, values, axis=spec.axis)
@@ -264,9 +265,7 @@ def _cmd_check(args) -> int:
 
     t = 1.25
     kernel = wce_me2(rule.nodes, rule.omega, t)
-    series = wce_series(
-        rule.nodes, rule.omega, basis, SpaceWeight.mod_exp2(math.pi * (1.0 - 1.0 / t)), 42
-    )
+    series = wce_series(rule.nodes, rule.omega, basis, SpaceWeight.geometric(t), 42)
     rel = abs(series - kernel) / kernel
     report("kernel-vs-series n=21 t=5/4", rel < 1e-10, f"relative difference {rel:.3e}")
 
@@ -310,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--space", choices=_SPACE_KINDS, required=True)
     p.add_argument("--n-range", default="3:21:2")
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--s", type=float, default=None)  # 1.0 where s applies
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--t", type=float, default=None,

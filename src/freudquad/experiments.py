@@ -1,16 +1,20 @@
 """End-to-end error-decay experiments (the three figure families).
 
-Each figure id fixes a rule family, a space and an n-range; the fit axis
-follows from the space:
+Each figure id fixes a rule family, a space and an n-range.  The space is
+one ``SpaceWeight``, and the route, the fit axis, the theory slope and the
+reported space name all follow from it:
 
-    fig1a/fig1b  Gauss rules, geometric decay t = 5/4 and 50/49,
+    fig1a/fig1b  Gauss rules, geometric decay t = 5/4 and 50/49 (mse2),
                  closed-form kernel route, log10(wce) against n.
-    fig2a/fig2b  Gauss rules, sqrt-exponential decay s = 1 and 1/2,
+    fig2a/fig2b  Gauss rules, sqrt-exponential decay s = 1 and 1/2 (mse),
                  series route from k = 2n, log10(wce) against sqrt(n).
     fig3a/b/c    uniformly shifted Gauss nodes with generalized weights,
-                 series route from k = n+1; sqrt-exponential s = 1/2
-                 against sqrt(n), and polynomial s = 1 and 2/3 against
-                 log10(n).
+                 series route from k = n+1; sqrt-exponential s = 1/2 (mse)
+                 against sqrt(n), and polynomial s = 1 and 2/3 (hs)
+                 against log10(n).
+
+A mod-exp2 table takes the kernel route at alpha = 2 and the series route
+otherwise, and fits against n on both.
 
 ``freudq figure`` and ``freudq wce`` build their rows through one
 pipeline (``_table_rows``): one basis at the capacity of the largest row,
@@ -34,7 +38,7 @@ from .orthopoly import build_basis
 from .spaces import SpaceWeight
 from .wce import WCETable, _wce_series_rows, series_truncation, wce_me2
 
-__all__ = ["FigureSpec", "figure_spec", "run_figure", "FIGURE_IDS"]
+__all__ = ["FigureSpec", "figure_spec", "run_figure", "FIGURE_IDS", "SPACE_NAMES"]
 
 _LOG10_E = math.log10(math.e)
 
@@ -45,68 +49,67 @@ FIGURE_IDS = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3a", "fig3b", "fig3c")
 _POLY_DEPTH = 40_000
 
 
+# report and CLI name of each SpaceWeight kind
+SPACE_NAMES = {
+    "poly": "hs", "exp": "epq", "mod-poly": "ms", "mod-exp": "mse", "mod-exp2": "mse2",
+}
+
+
 @dataclass(frozen=True)
 class FigureSpec:
-    """Fully resolved parameters of one error-decay table: ``eps`` set
-    means shifted rules.  ``t`` is the geometric decay t^(k+1): with no
-    ``space_kind`` (fig1a, fig1b) it sets the closed-form kernel route, and
-    a mod-exp2 weight keeps it in place of pi/(pi - s)."""
+    """Fully resolved parameters of one error-decay table: the space is
+    ``space_weight``, and ``eps`` set means shifted rules."""
 
     id: str
     n_values: tuple
+    space_weight: SpaceWeight
     seed: int = 7
-    t: float | None = None            # geometric decay parameter
-    s: float | None = None            # series route: space parameters
-    space_kind: str | None = None
     eps: float | None = None          # shifted rules: perturbation magnitude
     sign_mode: str = "positive"
     trunc_tol: float = 1e-16
     k_max: int | None = None          # fixed series depth (polynomial weights by default)
     alpha: float = 2.0
-    p: float | None = None
-    q: float | None = None
 
     def __post_init__(self):
-        if self.space_kind is not None:
-            space = self.space()  # validates the weight parameters
-            if self.k_max is None and space.kind in ("poly", "mod-poly"):
-                object.__setattr__(self, "k_max", _POLY_DEPTH)
+        if self.k_max is None and self.space_weight.kind in ("poly", "mod-poly"):
+            object.__setattr__(self, "k_max", _POLY_DEPTH)
 
-    def space(self) -> SpaceWeight | None:
-        if self.space_kind is None:
-            return None
-        return SpaceWeight(self.space_kind, s=self.s, p=self.p, q=self.q, _t=self.t)
+    def space(self) -> SpaceWeight:
+        return self.space_weight
 
     @property
-    def _kernel_t(self) -> float | None:
-        """t of the closed-form kernel route, None on the series route.
-        Mehler's formula is for the Gaussian weight, so a mod-exp2 table at
-        another alpha sums its series at the weight's t."""
-        if self.space_kind is None:
-            return self.t
-        if self.space_kind == "mod-exp2" and self.alpha == 2.0:
-            return self.space()._t
-        return None
+    def t(self) -> float | None:
+        """The ratio t of a mod-exp2 weight t^(k+1), else None."""
+        return self.space_weight._t
+
+    @property
+    def kernel_route(self) -> bool:
+        """Mehler's closed form is for the Gaussian weight, so a mod-exp2
+        table at another alpha sums its series at the weight's t."""
+        return self.t is not None and self.alpha == 2.0
 
     @property
     def axis(self) -> str:
-        """Slope-fit abscissa: n, sqrt(n) for exponential weights, log10(n)."""
-        if self._kernel_t is not None:
+        """Slope-fit abscissa: n for geometric decay, sqrt(n) for the
+        sqrt-exponential weights, log10(n) otherwise."""
+        if self.t is not None:
             return "n"
-        return "sqrt-n" if self.space_kind in ("exp", "mod-exp") else "log-n"
+        return "sqrt-n" if self.space_weight.kind in ("exp", "mod-exp") else "log-n"
 
 
 _ODD_3_41 = tuple(range(3, 42, 2))
 _ODD_3_21 = tuple(range(3, 22, 2))
 
 _DEFAULTS = {
-    "fig1a": dict(n_values=_ODD_3_41, t=1.25),
-    "fig1b": dict(n_values=_ODD_3_41, t=50.0 / 49.0),
-    "fig2a": dict(n_values=_ODD_3_21, s=1.0, space_kind="mod-exp"),
-    "fig2b": dict(n_values=_ODD_3_21, s=0.5, space_kind="mod-exp"),
-    "fig3a": dict(n_values=_ODD_3_21, s=0.5, space_kind="mod-exp", eps=0.1),
-    "fig3b": dict(n_values=_ODD_3_21, s=1.0, space_kind="poly", eps=0.1),
-    "fig3c": dict(n_values=_ODD_3_21, s=2.0 / 3.0, space_kind="poly", eps=0.1),
+    "fig1a": dict(n_values=_ODD_3_41, space_weight=SpaceWeight.geometric(1.25)),
+    "fig1b": dict(n_values=_ODD_3_41, space_weight=SpaceWeight.geometric(50.0 / 49.0)),
+    "fig2a": dict(n_values=_ODD_3_21, space_weight=SpaceWeight.mod_exp(1.0)),
+    "fig2b": dict(n_values=_ODD_3_21, space_weight=SpaceWeight.mod_exp(0.5)),
+    "fig3a": dict(n_values=_ODD_3_21, space_weight=SpaceWeight.mod_exp(0.5), eps=0.1),
+    "fig3b": dict(n_values=_ODD_3_21, space_weight=SpaceWeight.polynomial(1.0), eps=0.1),
+    "fig3c": dict(
+        n_values=_ODD_3_21, space_weight=SpaceWeight.polynomial(2.0 / 3.0), eps=0.1
+    ),
 }
 
 
@@ -127,15 +130,15 @@ def worker_count() -> int:
     return 1
 
 
-def _theory_slope(spec: FigureSpec) -> float:
-    if spec.t is not None:
+def _theory_slope(space: SpaceWeight) -> float:
+    if space.kind == "mod-exp2":
         # decay at least t^{-2n}: slope -2 log10(t) against n
-        return -2.0 * math.log10(spec.t)
-    if spec.space_kind == "mod-exp":
+        return -2.0 * math.log10(space._t)
+    if space.kind == "mod-exp":
         # decay at least e^{-q sqrt(2n)}: slope -sqrt(2) q log10(e) against sqrt(n)
-        return -math.sqrt(2.0) * (spec.s / math.sqrt(math.pi)) * _LOG10_E
+        return -math.sqrt(2.0) * (space.s / math.sqrt(math.pi)) * _LOG10_E
     # polynomial families: observed decay n^{-s} on the log-log axis
-    return -spec.s
+    return -space.s
 
 
 def _rule_shape(spec: FigureSpec, n: int) -> tuple[int, int]:
@@ -148,7 +151,7 @@ def _required_capacity(spec: FigureSpec) -> int:
     """The largest rule's size plus one, and on the series route the fixed
     depth or the top row's truncation index plus a margin of four."""
     size, start = _rule_shape(spec, max(spec.n_values))
-    if spec._kernel_t is not None:
+    if spec.kernel_route:
         return size + 1
     if spec.k_max is not None:
         return max(spec.k_max, size + 1)
@@ -161,7 +164,7 @@ def _check_depth(spec: FigureSpec) -> None:
     """Reject a fixed series depth below a row's first summed mode: that
     row would sum nothing and read as an exact rule.  Names the first
     such row in the given order."""
-    if spec._kernel_t is not None or spec.k_max is None:
+    if spec.kernel_route or spec.k_max is None:
         return
     for n in spec.n_values:
         start = _rule_shape(spec, n)[1]
@@ -219,13 +222,12 @@ def _table_rows(spec: FigureSpec):
     reports: dict[int, dict] = {}
     errors: dict[int, Exception] = {}
     rows: dict[int, tuple] = {}
-    kernel_t = spec._kernel_t
 
     for n in dict.fromkeys(spec.n_values):  # a repeated n is one row
         try:
             row, info = _rule_row(spec, basis, n)
-            if kernel_t is not None:
-                values[n] = wce_me2(row[0], row[1], kernel_t)
+            if spec.kernel_route:
+                values[n] = wce_me2(row[0], row[1], spec.t)
             else:
                 rows[n] = row
             if info:
@@ -260,7 +262,7 @@ def run_figure(spec: FigureSpec | str, **overrides) -> WCETable:
     ns = sorted(values)
     params = {
         "figure": spec.id,
-        "space": _space_label(spec),
+        "space": SPACE_NAMES[spec.space_weight.kind],
         "alpha": spec.alpha,
         "seed": spec.seed,
         "axis": spec.axis,
@@ -268,8 +270,8 @@ def run_figure(spec: FigureSpec | str, **overrides) -> WCETable:
     }
     if spec.t is not None:
         params["t"] = spec.t
-    if spec.s is not None:
-        params["s"] = spec.s
+    elif spec.space_weight.s is not None:
+        params["s"] = spec.space_weight.s
     if spec.eps is not None:
         params.update(eps=spec.eps, sign_mode=spec.sign_mode)
     if spec.k_max is not None:
@@ -285,11 +287,5 @@ def run_figure(spec: FigureSpec | str, **overrides) -> WCETable:
 
     return WCETable.from_rows(
         params, ns, [values[n] for n in ns], axis=spec.axis,
-        theory_slope=_theory_slope(spec),
+        theory_slope=_theory_slope(spec.space_weight),
     )
-
-
-def _space_label(spec: FigureSpec) -> str:
-    if spec.t is not None:
-        return "mse2"
-    return "mse" if spec.space_kind == "mod-exp" else "ms"

@@ -5,9 +5,10 @@ alpha = 2 is
 
     K_t(x, y) = sqrt(2/(t^2-1)) * exp( pi/(t^2-1) * (4 t x y - (t^2+1)(x^2+y^2)) )
 
-All other kernels are truncated expansions sum lambda_k^{-1} h_k(x) h_k(y);
-the truncation index comes from a uniform-in-x envelope of |h_k|^2, whose
-constant is measured at startup (the theory provides only its existence).
+All other kernels are expansions sum lambda_k^{-1} h_k(x) h_k(y), which the
+series route (``wce.wce_series``) truncates at an index from a uniform-in-x
+envelope of |h_k|^2, whose constant is measured at startup (the theory
+provides only its existence).
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ import math
 import numpy as np
 from scipy.special import gamma, gammaincc
 
-from .errors import CapacityError, UnboundedTailError
+from .errors import UnboundedTailError
 from .orthopoly import FreudBasis, basis_matrix, mrs_number
-from .spaces import SpaceWeight, lambda_of
+from .spaces import SpaceWeight
 
 __all__ = [
     "mehler",
     "sup_envelope_constant",
     "tail_index",
-    "truncated_kernel",
 ]
 
 _TAIL_HARD_CAP = 50_000_000
@@ -162,29 +162,3 @@ def tail_index(
             lo = mid
     return hi
 
-
-def truncated_kernel(
-    basis: FreudBasis,
-    space: SpaceWeight,
-    start: int,
-    x: float,
-    y: float,
-    tol: float,
-) -> float:
-    """sum_{k=start}^{K} lambda_k^{-1} h_k(x) h_k(y), K from ``tail_index``."""
-    if start < 0:
-        raise ValueError("start must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    K = tail_index(space, start, tol, basis.alpha, sup_envelope_constant(basis))
-    if K < start:
-        return 0.0
-    if K > basis.n_max:
-        raise CapacityError(
-            f"truncation needs index {K}, basis capacity is {basis.n_max}",
-            required=K,
-        )
-    H = basis_matrix(basis, np.array([x, y]), K)
-    k = np.arange(start, K + 1)
-    lam = lambda_of(space, k)
-    return math.fsum(H[start:, 0] * H[start:, 1] / lam)

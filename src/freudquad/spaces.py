@@ -52,8 +52,8 @@ class SpaceWeight:
     """One of the five coefficient-weight families.
 
     A mod-exp2 weight keeps its ratio t in ``_t``: the t it was built from
-    when given (s = pi(1 - 1/t) does not always round-trip to t), else
-    ``_geometric_t(s)``.
+    by ``geometric(t)`` (s = pi(1 - 1/t) does not always round-trip to t),
+    else ``_geometric_t(s)``.
     """
 
     kind: str
@@ -100,6 +100,13 @@ class SpaceWeight:
     def mod_exp2(cls, s: float) -> "SpaceWeight":
         return cls("mod-exp2", s=float(s))
 
+    @classmethod
+    def geometric(cls, t: float) -> "SpaceWeight":
+        """The mod-exp2 weight t^(k+1), keeping t as given."""
+        if not t > 1:
+            raise ValueError(f"geometric decay needs t > 1, got t={t}")
+        return cls("mod-exp2", s=math.pi * (1.0 - 1.0 / t), _t=float(t))
+
     @property
     def has_decay(self) -> bool:
         """True when lambda_k diverges, i.e. the unit ball is compact."""
@@ -122,6 +129,8 @@ class SpaceWeight:
             v = getattr(self, name)
             if v is not None:
                 out[name] = v
+        if self._t is not None:
+            out["t"] = self._t
         return out
 
 

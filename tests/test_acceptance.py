@@ -95,7 +95,7 @@ def test_03_mehler_identity(basis2_deep):
         grid = np.linspace(-3.0, 3.0, 9)
         worst = {}
         for tv, K in ((1.25, 300), (50.0 / 49.0, None)):
-            space = SpaceWeight.mod_exp2(PI * (1.0 - 1.0 / tv))
+            space = SpaceWeight.geometric(tv)
             if K is None:
                 K = tail_index(space, 0, 1e-11, 2.0, sup_envelope_constant(basis2_deep))
             H = basis_matrix(basis2_deep, grid, K)
@@ -229,7 +229,7 @@ def test_10_abstract_bound(basis2):
 def test_11_modulation_norm_exactness():
     worst_diag = worst_grid = 0.0
     for tv in (1.25, 50.0 / 49.0):
-        s = PI * (1.0 - 1.0 / tv)
+        s = SpaceWeight.geometric(tv).s
         for k in range(16):
             f = HermiteExpansion.unit(k)
             closed = tv ** (k + 1)

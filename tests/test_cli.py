@@ -6,7 +6,8 @@ import pytest
 
 import freudquad.cli as cli
 from freudquad import (
-    SpaceWeight, build_basis, gauss_rule, run_figure, tensor_wce, wce_me2, wce_series,
+    SpaceWeight, build_basis, gauss_rule, run_figure, slope_fit, tensor_wce, wce_me2,
+    wce_series,
 )
 from freudquad.cli import main
 
@@ -163,11 +164,17 @@ class TestWce:
             "--k-max", "20", "--n-range", "3:5:2", "--format", "json",
         )
         assert code == 0
+        payload = json.loads(out)
+        assert payload["params"]["t"] == 3.0
         basis = build_basis(4.0, 20)
-        space = SpaceWeight("mod-exp2", s=math.pi * (1.0 - 1.0 / 3.0), _t=3.0)
-        for n, value in json.loads(out)["rows"]:
+        space = SpaceWeight.geometric(3.0)
+        for n, value in payload["rows"]:
             rule = gauss_rule(basis, n)
             assert value == wce_series(rule.nodes, rule.omega, basis, space, 2 * n, k_max=20)
+        # the geometric space fits against n on both routes
+        assert payload["axis"] == "n"
+        ns, values = zip(*payload["rows"])
+        assert payload["slope"] == slope_fit(ns, [math.log10(v) for v in values])[0]
 
     def test_tensor_dimension(self, capsys):
         base = run_cli(
@@ -303,6 +310,8 @@ class TestValidation:
             "check --out ignored.json",
             "wce --space hs --s 3 --n-range 3:5:2 --t 1.25",
             "wce --space ms --s 2 --n-range 3:5:2 --p 1 --q 1",
+            "wce --space epq --p 1 --q 1 --s 7",
+            "wce --space mse2 --t 1.25 --s 9",
         ],
     )
     def test_ignored_option_is_rejected(self, capsys, tmp_path, monkeypatch, command):

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freudquad import FIGURE_IDS, figure_spec, run_figure
+from freudquad import FIGURE_IDS, SpaceWeight, figure_spec, run_figure
+from freudquad.cli import _SPACE_KINDS
 
 # to_csv() of every figure at n = 3, 5, 7, recorded with rows run one after
 # another; any change to these bytes is a change in the reported results
@@ -33,10 +34,52 @@ class TestFigureSpec:
     def test_defaults(self):
         assert figure_spec("fig1a").t == 1.25
         assert figure_spec("fig1b").t == pytest.approx(50.0 / 49.0)
-        assert figure_spec("fig2a").s == 1.0
-        assert figure_spec("fig2b").s == 0.5
+        assert figure_spec("fig2a").space().s == 1.0
+        assert figure_spec("fig2b").space().s == 0.5
         assert figure_spec("fig3b").axis == "log-n"
-        assert figure_spec("fig3c").s == pytest.approx(2.0 / 3.0)
+        assert figure_spec("fig3c").space().s == pytest.approx(2.0 / 3.0)
+
+    def test_route_and_axis_follow_the_space(self):
+        spec = figure_spec("fig1a")
+        assert spec.space() == SpaceWeight.geometric(1.25)
+        assert spec.kernel_route and spec.axis == "n"
+        at_alpha4 = figure_spec("fig1a", alpha=4.0)
+        assert not at_alpha4.kernel_route and at_alpha4.axis == "n"
+        assert not figure_spec("fig2a").kernel_route
+        assert figure_spec("fig2a").axis == "sqrt-n"
+
+
+# what perfbench/replay.py reads of a spec; ``space()`` is called
+_REPLAY_SURFACE = (
+    "id", "n_values", "seed", "t", "space", "eps", "sign_mode", "trunc_tol", "k_max",
+)
+
+
+class TestReplaySurface:
+    """The benchmark's traced replay (``perfbench/run.py --trace 1``) reads
+    specs directly; a refactor of FigureSpec must keep what it reads."""
+
+    def test_replay_reads_only_the_pinned_surface(self):
+        source = (Path(__file__).parents[1] / "perfbench" / "replay.py").read_text()
+        assert set(re.findall(r"\bspec\.(\w+)", source)) <= set(_REPLAY_SURFACE)
+
+    @pytest.mark.parametrize("fid", FIGURE_IDS)
+    def test_every_figure_has_the_surface(self, fid):
+        spec = figure_spec(fid, seed=11)
+        assert spec.id == fid
+        assert spec.seed == 11
+        assert spec.n_values and all(isinstance(n, int) for n in spec.n_values)
+        space = spec.space()
+        assert isinstance(space, SpaceWeight)
+        # fig1a/fig1b replay wce_me2 at spec.t, the others the series in space()
+        if fid in ("fig1a", "fig1b"):
+            assert spec.t == space._t and spec.t > 1.0
+        else:
+            assert spec.t is None
+        assert (spec.eps is not None) == fid.startswith("fig3")
+        assert spec.sign_mode == "positive"
+        assert spec.trunc_tol == 1e-16
+        assert spec.k_max == (40_000 if fid in ("fig3b", "fig3c") else None)
 
 
 class TestRunFigure:
@@ -111,6 +154,11 @@ class TestRunFigure:
         # such a row would sum no mode and be written as an exact rule
         with pytest.raises(ValueError, match=re.escape(f"first summed mode {message}")):
             run_figure(fid, n_values=n_values, k_max=k_max)
+
+    @pytest.mark.parametrize("fid", FIGURE_IDS)
+    def test_space_is_labelled_by_its_cli_name(self, fid):
+        table = run_figure(fid, n_values=(3, 5), k_max=400)
+        assert _SPACE_KINDS[table.params["space"]] == figure_spec(fid).space().kind
 
     def test_theory_slopes(self):
         assert run_figure("fig1a", n_values=(3, 5, 7)).theory_slope == pytest.approx(

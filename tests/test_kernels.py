@@ -13,11 +13,7 @@ from freudquad import (
     mehler,
     sup_envelope_constant,
     tail_index,
-    truncated_kernel,
 )
-
-
-PI = math.pi
 
 
 def _series_oracle(t, x, y, K):
@@ -73,7 +69,7 @@ class TestMehler:
 
 class TestTailIndex:
     def test_geometric_scan_oracle(self, basis2):
-        space = SpaceWeight.mod_exp2(PI * (1.0 - 0.8))  # t = 5/4
+        space = SpaceWeight.geometric(1.25)
         sup = sup_envelope_constant(basis2)
         tol = 1e-16
         K = tail_index(space, 0, tol, 2.0, sup)
@@ -100,43 +96,10 @@ class TestTailIndex:
         assert 0 < K < 50_000_000
 
     def test_whole_tail_negligible_returns_start_minus_one(self, basis2):
-        space = SpaceWeight.mod_exp2(PI * (1.0 - 0.8))
+        space = SpaceWeight.geometric(1.25)
         sup = sup_envelope_constant(basis2)
         K = tail_index(space, 4000, 1e-6, 2.0, sup)
         assert K == 3999
-
-
-class TestTruncatedKernel:
-    def test_matches_mehler_for_geometric(self, basis2_deep):
-        space = SpaceWeight.mod_exp2(PI * (1.0 - 0.8))  # t = 5/4
-        got = truncated_kernel(basis2_deep, space, 0, 0.7, -0.3, 1e-18)
-        ref = mehler(1.25, 0.7, -0.3)
-        assert abs(got - ref) / abs(ref) < 1e-10
-
-    def test_self_consistency_doubled_depth(self, basis2_deep):
-        space = SpaceWeight.exponential(0.5, 1.0 / math.sqrt(PI))
-        v1 = truncated_kernel(basis2_deep, space, 42, 0.5, 0.5, 1e-14)
-        # direct sum twice as deep
-        from freudquad import tail_index as ti
-
-        sup = sup_envelope_constant(basis2_deep)
-        K = ti(space, 42, 1e-14, 2.0, sup)
-        H = basis_matrix(basis2_deep, np.array([0.5]), 2 * K)
-        lam = lambda_of(space, np.arange(42, 2 * K + 1))
-        v2 = float(np.sum(H[42:, 0] ** 2 / lam))
-        assert abs(v1 - v2) <= 1e-12 * abs(v2) + 1e-15
-
-    def test_large_s_dominated_by_first_term(self, basis2):
-        space = SpaceWeight.polynomial(40.0)
-        got = truncated_kernel(basis2, space, 0, 0.0, 0.0, 1e-12)
-        # only h_0 survives: lambda_0^{-1} h_0(0)^2 = sqrt(2)
-        assert got == pytest.approx(math.sqrt(2.0), rel=1e-10)
-
-    def test_poly_self_consistency(self, basis2_deep):
-        space = SpaceWeight.polynomial(3.0)
-        v1 = truncated_kernel(basis2_deep, space, 0, 0.3, -0.2, 1e-7)
-        v2 = truncated_kernel(basis2_deep, space, 0, 0.3, -0.2, 1e-9)
-        assert abs(v1 - v2) < 1e-7
 
 
 class TestEnvelopeTailLaws:

@@ -100,10 +100,16 @@ class TestSpaceWeight:
         k = np.arange(6)
         assert np.array_equal(lambda_of(given, k), np.exp((k + 1.0) * math.log(3.0)))
         assert given.coefficient_equivalent().q == math.log(3.0)
-        assert given.describe() == SpaceWeight.mod_exp2(s).describe()
+        assert given.describe() == {"kind": "mod-exp2", "s": s, "t": 3.0}
         assert SpaceWeight.mod_exp2(s)._t == PI / (PI - s) != 3.0
+        assert SpaceWeight.geometric(3) == given
         with pytest.raises(ValueError, match="only to mod-exp2"):
             SpaceWeight("mod-exp", s=1.0, _t=3.0)
+
+    @pytest.mark.parametrize("t", [1.0, 0.5, 0.0, -2.0])
+    def test_geometric_needs_t_above_one(self, t):
+        with pytest.raises(ValueError, match="needs t > 1"):
+            SpaceWeight.geometric(t)
 
 
 class TestCoeffNorm:

@@ -17,6 +17,7 @@ from freudquad import (
     gauss_rule,
     lambda_of,
     slope_fit,
+    sup_envelope_constant,
     tensor_wce,
     wce_bound,
     wce_me2,
@@ -25,12 +26,6 @@ from freudquad import (
 import freudquad.wce as wce_mod
 from freudquad.experiments import _shifted_rule
 from freudquad.wce import _wce_series_rows, series_truncation
-
-PI = math.pi
-
-
-def geometric_space(t: float) -> SpaceWeight:
-    return SpaceWeight.mod_exp2(PI * (1.0 - 1.0 / t))
 
 
 def me2_reference(nodes, omega, t):
@@ -85,13 +80,13 @@ class TestWceMe2:
         rule = gauss_rule(basis2, 3)
         v_kernel = wce_me2(rule.nodes, rule.omega, 1.25)
         v_series = wce_series(
-            rule.nodes, rule.omega, basis2_deep, geometric_space(1.25), start=6
+            rule.nodes, rule.omega, basis2_deep, SpaceWeight.geometric(1.25), start=6
         )
         assert v_kernel == pytest.approx(v_series, rel=1e-12)
 
     def test_cross_path_sweep(self, basis2, basis2_deep):
         for t in (1.25, 50.0 / 49.0):
-            space = geometric_space(t)
+            space = SpaceWeight.geometric(t)
             for n in (3, 9, 15, 21):
                 rule = gauss_rule(basis2, n)
                 v_kernel = wce_me2(rule.nodes, rule.omega, t)
@@ -171,7 +166,7 @@ class TestWceSeries:
     def test_exactness_makes_low_modes_irrelevant(self, basis2, basis2_deep):
         # starting at 0 instead of 2n changes nothing for an exact rule
         rule = gauss_rule(basis2, 9)
-        space = geometric_space(1.25)
+        space = SpaceWeight.geometric(1.25)
         v_tail = wce_series(rule.nodes, rule.omega, basis2_deep, space, start=18)
         v_full = wce_series(rule.nodes, rule.omega, basis2_deep, space, start=0)
         assert abs(v_full - v_tail) < 1e-18 + 1e-12 * v_tail
@@ -259,7 +254,7 @@ class TestWceSeriesRows:
         basis = build_basis(2.0, 200)
         rows = self.rows(basis)
         rows.insert(1, (rows[0][0], rows[0][1], 40))
-        values = self.assert_matches_single(rows, basis, geometric_space(1.25))
+        values = self.assert_matches_single(rows, basis, SpaceWeight.geometric(1.25))
         assert isinstance(values[1], CapacityError)
         assert all(isinstance(v, float) and v > 0.0 for v in values[:1] + values[2:])
 
@@ -302,6 +297,26 @@ class TestSeriesTruncation:
         assert series_truncation(space, 700, 1e-16, 2.0, 1.0) >= 699
         with pytest.raises(FreudQuadError, match=r"lambda_start \(k = 710\)"):
             series_truncation(space, 710, 1e-16, 2.0, 1.0)
+
+    # a one-node row ([x], [1]) sums lambda_k^-1 e_k^2 with e_k = h_k(x) for
+    # k >= 1: the diagonal of the kernel expansion, cut by the envelope bound
+
+    def test_self_consistency_doubled_depth(self, basis2_deep):
+        space = SpaceWeight.exponential(0.5, 1.0 / math.sqrt(math.pi))
+        node, one = np.array([0.5]), np.array([1.0])
+        K = series_truncation(space, 42, 1e-14, 2.0, sup_envelope_constant(basis2_deep))
+        v1 = wce_series(node, one, basis2_deep, space, 42, tol=1e-14)
+        v2 = wce_series(node, one, basis2_deep, space, 42, k_max=2 * K)
+        assert abs(v1 - v2) <= 1e-12 * abs(v2) + 1e-15
+
+    def test_poly_self_consistency(self, basis2_deep):
+        # a 100x tighter tolerance adds less than the looser tail bound
+        space = SpaceWeight.polynomial(3.0)
+        node, one = np.array([0.3]), np.array([1.0])
+        v1 = wce_series(node, one, basis2_deep, space, 0, tol=1e-7)
+        v2 = wce_series(node, one, basis2_deep, space, 0, tol=1e-9)
+        # the first envelope term, at k = 0, is sup_const / lambda_0
+        assert 0.0 <= v2 - v1 < 1e-7 * sup_envelope_constant(basis2_deep)
 
 
 class TestWceBound:
