@@ -130,7 +130,10 @@ def worker_count() -> int:
     return 1
 
 
-def _theory_slope(space: SpaceWeight) -> float:
+def _theory_slope(space: SpaceWeight) -> float | None:
+    if space.kind == "exp":
+        # an exp weight is given by (p, q) and has no s: no theory line
+        return None
     if space.kind == "mod-exp2":
         # decay at least t^{-2n}: slope -2 log10(t) against n
         return -2.0 * math.log10(space._t)

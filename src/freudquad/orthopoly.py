@@ -9,8 +9,11 @@ coefficients are identical) and every value stays bounded.
 For alpha = 2 the recurrence coefficients have the closed form
 a_k = sqrt(k / (4 pi)).  For other exponents they are computed by a
 Stieltjes procedure on a composite Gauss-Legendre reference quadrature
-whose resolution is doubled until the coefficients stabilize.  The
-normalization c0 has a closed form for every alpha (2**0.25 at alpha = 2).
+whose resolution is doubled until the coefficients stabilize.  Unless
+alpha is an even integer, |x|^alpha has a kink at 0, and the panels next
+to it are graded dyadically towards 0 so that the quadrature still
+converges fast.  The normalization c0 has a closed form for every alpha
+(2**0.25 at alpha = 2).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ _ORTHO_TOL = 1e-8       # orthonormality defect on the verification grid
 _INITIAL_PANELS = 16    # composite Gauss-Legendre panels (even count)
 _PANEL_DEGREE = 24      # points per panel
 _MAX_DOUBLINGS = 8
+_GRADED_LEVELS = 40     # dyadic panels on each side of 0 when alpha is not even
 
 
 def weight_value(alpha: float, x):
@@ -90,17 +94,32 @@ class FreudBasis:
 def _reference_grid(alpha: float, n_max: int, panels: int, degree: int):
     """Composite Gauss-Legendre rule on [-R, R] sized by the MRS number.
 
-    An even panel count keeps x=0 on a panel boundary, where |x|^alpha has
-    limited smoothness for non-even alpha.
+    ``panels`` uniform panels of width h = 2R / panels; the even count keeps
+    x = 0 on a panel boundary.  For even-integer alpha the weight is smooth
+    there and the grid is just those panels.  Otherwise |x|^alpha has a kink
+    at 0, where uniform panels converge only algebraically, so the two panels
+    touching 0 are replaced by dyadic ones, [h 2^(-j-1), h 2^(-j)] for
+    j < ``_GRADED_LEVELS`` and [0, h 2^(-_GRADED_LEVELS)] on each side.  The
+    negative half is then the exact negation of the positive half (weights
+    mirrored), so the grid stays ascending and mirrored about 0.
     """
     R = mrs_number(alpha, 2 * n_max) * (1.0 + 3.0 * n_max ** (-2.0 / 3.0)) + 2.0
     xg, wg = roots_legendre(degree)
-    edges = np.linspace(-R, R, panels + 1)
+    if alpha % 2 == 0:
+        edges = np.linspace(-R, R, panels + 1)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1] - edges[0])
+        x = (mid[:, None] + half * xg[None, :]).ravel()
+        w = np.tile(half * wg, panels)
+        return x, w, R
+    uniform = np.linspace(0.0, R, panels // 2 + 1)
+    dyadic = uniform[1] * 2.0 ** np.arange(-_GRADED_LEVELS, 0)
+    edges = np.concatenate([[0.0], dyadic, uniform[1:]])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1] - edges[0])
-    x = (mid[:, None] + half * xg[None, :]).ravel()
-    w = np.tile(half * wg, panels)
-    return x, w, R
+    half = 0.5 * (edges[1:] - edges[:-1])
+    xp = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    wp = (half[:, None] * wg[None, :]).ravel()
+    return np.concatenate([-xp[::-1], xp]), np.concatenate([wp[::-1], wp]), R
 
 
 def _c0(alpha: float) -> float:
@@ -155,9 +174,9 @@ def _verify_orthonormality(basis: FreudBasis, x, w, tol: float) -> float:
 
     The grid must be mirrored about 0: an even number of points with
     x[i] = -x[-1-i] to a few ulps of its half-width (``_reference_grid`` is
-    off by at most two); otherwise ``ValueError``.  The weights of x and -x
-    are pooled, which changes nothing for Gauss-Legendre panels, whose
-    weights are mirrored too.
+    off by at most two at even alpha and exact otherwise); otherwise
+    ``ValueError``.  The weights of x and -x are pooled, which changes
+    nothing for Gauss-Legendre panels, whose weights are mirrored too.
 
     The weight is even and the recurrence has no diagonal term, so
     h_k(-x) = (-1)^k h_k(x) holds bit for bit (negation is exact).  On the
@@ -221,7 +240,7 @@ def build_basis(alpha: float, n_max: int) -> FreudBasis:
     c0 = _c0(alpha)
 
     panels = _INITIAL_PANELS
-    prev = None
+    prev, change = None, np.zeros(1)
     for _ in range(_MAX_DOUBLINGS + 1):
         x, w, _ = _reference_grid(alpha, n_max, panels, _PANEL_DEGREE)
         _, a = _stieltjes_pass(alpha, n_max, x, w)
@@ -234,7 +253,8 @@ def build_basis(alpha: float, n_max: int) -> FreudBasis:
                 return basis
         prev = a
         panels *= 2
-    failing = int(np.argmax(np.abs(a - prev))) + 1 if prev is not None else 1
+    # the largest relative move between the last two passes
+    failing = int(np.argmax(change)) + 1
     raise ConvergenceError(
         f"recurrence coefficients did not stabilize to {_COEFF_TOL:.1e} "
         f"(worst index {failing}) after {_MAX_DOUBLINGS} refinements",

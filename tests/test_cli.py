@@ -73,6 +73,13 @@ class TestCoeffs:
         payload = json.loads(out)
         assert payload["c0"] == pytest.approx(2.0 ** 0.25, rel=1e-14)
 
+    def test_alpha_1_5_builds(self, capsys):
+        # |x|^1.5 has a kink at 0: converges only on the graded grid
+        code, out, _ = run_cli(capsys, "coeffs", "--alpha", "1.5", "--n", "20")
+        assert code == 0
+        vals = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+        assert vals == build_basis(1.5, 20).coeffs.tolist()
+
 
 class TestFigure:
     def test_writes_csv_and_json(self, capsys, tmp_path):
@@ -208,6 +215,15 @@ class TestWce:
         code, out, _ = run_cli(capsys, *command.split(), "--n-range", "3:9:2")
         assert code == 0
         assert out == run_figure(fid, n_values=(3, 5, 7, 9)).to_csv()
+
+    def test_alpha_1_8_table(self, capsys):
+        # sizes its truncation from a 512-mode basis at alpha = 1.8
+        code, out, _ = run_cli(capsys, "wce", "--alpha", "1.8", "--space", "epq",
+                               "--p", "1", "--q", "1", "--n-range", "3:9:2")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [3, 5, 7, 9]
+        assert all(0 < float(r[1]) < 1e-3 for r in rows)
 
     def test_first_failed_row_is_raised(self, capsys):
         code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "3",

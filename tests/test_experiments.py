@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freudquad import FIGURE_IDS, SpaceWeight, figure_spec, run_figure
-from freudquad.cli import _SPACE_KINDS
+from freudquad import FIGURE_IDS, FigureSpec, SpaceWeight, figure_spec, run_figure
+from freudquad.cli import _SPACE_KINDS, main
 
 # to_csv() of every figure at n = 3, 5, 7, recorded with rows run one after
 # another; any change to these bytes is a change in the reported results
@@ -159,6 +159,15 @@ class TestRunFigure:
     def test_space_is_labelled_by_its_cli_name(self, fid):
         table = run_figure(fid, n_values=(3, 5), k_max=400)
         assert _SPACE_KINDS[table.params["space"]] == figure_spec(fid).space().kind
+
+    def test_exp_weight_has_no_theory_slope(self, capsys):
+        table = run_figure(FigureSpec(
+            id="x", n_values=(3, 5), space_weight=SpaceWeight.exponential(1.0, 1.0)
+        ))
+        assert table.theory_slope is None
+        assert table.summary()["theory_slope"] is None
+        assert main("wce --space epq --p 1 --q 1 --n-range 3:5:2".split()) == 0
+        assert capsys.readouterr().out == table.to_csv()
 
     def test_theory_slopes(self):
         assert run_figure("fig1a", n_values=(3, 5, 7)).theory_slope == pytest.approx(

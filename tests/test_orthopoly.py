@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 import freudquad
 import freudquad.orthopoly as orthopoly
@@ -116,13 +117,13 @@ class TestBuildBasisGeneralAlpha:
 
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0, 3.0, 4.0, 6.0, 8.0])
     def test_c0_against_mpmath_quadrature(self, alpha):
-        # the integral itself in 40 digits, not the Gamma-function identity;
-        # the helper directly, since build_basis fails at alpha = 1.2 and 1.5
+        # the integral itself in 40 digits, not the Gamma-function identity
         with mp.workdps(40):
             a = mp.mpf(alpha)
             half = mp.quad(lambda u: mp.exp(-2 * mp.pi * u ** a), [0, 1, mp.inf])
             expected = float(1 / mp.sqrt(2 * half))
         assert _c0(alpha) == expected
+        assert build_basis(alpha, 8).c0 == expected
 
     def test_c0_bits_at_alpha_2_and_4(self, basis2, basis4):
         assert basis2.c0 == 2.0 ** 0.25
@@ -143,6 +144,19 @@ class TestBuildBasisGeneralAlpha:
         with pytest.raises(ConvergenceError):
             build_basis(4.0, 10)
 
+    def test_no_convergence_names_the_worst_index(self, monkeypatch):
+        # the index whose coefficient moved most between the last two passes
+        monkeypatch.setattr(orthopoly, "_MAX_DOUBLINGS", 1)
+        a16, a32 = (
+            _stieltjes_pass(1.5, 800, *_reference_grid(1.5, 800, p, 24)[:2])[1]
+            for p in (16, 32)
+        )
+        worst = int(np.argmax(np.abs(a32 - a16) / a32)) + 1
+        assert worst > 1
+        with pytest.raises(ConvergenceError, match=f"worst index {worst}\\)") as exc:
+            build_basis(1.5, 800)
+        assert exc.value.index == worst
+
 
 class TestFreudEquation:
     """Independent oracle for the quartic Stieltjes coefficients."""
@@ -154,6 +168,131 @@ class TestFreudEquation:
         n = np.arange(1, n_max)
         lhs = 8.0 * PI * sq[n] * (sq[n - 1] + sq[n] + sq[n + 1])
         assert np.max(np.abs(lhs - n) / n) < 1e-12
+
+
+def _chebyshev_coeffs(alpha: float, n: int, dps: int) -> np.ndarray:
+    """a_1..a_n from the moments of W^2 by Chebyshev's algorithm.
+
+    mu_2j = integral x^(2j) exp(-2 pi |x|^alpha) dx
+          = 2 Gamma((2j+1)/alpha) / (alpha (2 pi)^((2j+1)/alpha)), odd moments 0.
+    The map from moments to recurrence coefficients is exponentially
+    ill-conditioned, so it runs at ``dps`` digits (Gautschi, Orthogonal
+    Polynomials: Computation and Approximation, 2004, Algorithm 2.1).  In
+    monic form pi_{k+1} = (x - alpha_k) pi_k - beta_k pi_{k-1}, and the
+    orthonormal a_k is sqrt(beta_k).
+    """
+    with mp.workdps(dps):
+        al, two_pi = mp.mpf(alpha), 2 * mp.pi
+        m = 2 * (n + 1)
+        mu = [
+            2 * mp.gamma((l + 1) / al) / (al * two_pi ** ((l + 1) / al))
+            if l % 2 == 0 else mp.mpf(0)
+            for l in range(m)
+        ]
+        sig_prev, sig = [mp.mpf(0)] * m, mu  # sigma_{k-2, l}, sigma_{k-1, l}
+        a_k, b_k = [mu[1] / mu[0]], [mu[0]]
+        for k in range(1, n + 1):
+            nxt = [mp.mpf(0)] * m
+            for l in range(k, m - k):
+                nxt[l] = sig[l + 1] - a_k[k - 1] * sig[l] - b_k[k - 1] * sig_prev[l]
+            a_k.append(nxt[k + 1] / nxt[k] - sig[k] / sig[k - 1])
+            b_k.append(nxt[k] / sig[k - 1])
+            sig_prev, sig = sig, nxt
+        return np.array([float(mp.sqrt(b)) for b in b_k[1:]])
+
+
+class TestMomentOracle:
+    """An oracle for every alpha: closed-form moments, Chebyshev's algorithm."""
+
+    ALPHAS = [1.2, 1.5, 1.8, 3.0, 6.0]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_coefficients(self, alpha):
+        ref = _chebyshev_coeffs(alpha, 60, 200)
+        got = build_basis(alpha, 60).coeffs
+        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_oracle_is_converged_in_precision(self, alpha):
+        assert np.array_equal(
+            _chebyshev_coeffs(alpha, 60, 200), _chebyshev_coeffs(alpha, 60, 260)
+        )
+
+    def test_alpha_2_closed_form(self):
+        k = np.arange(1, 31)
+        ref = np.sqrt(k / (4.0 * PI))
+        assert np.max(np.abs(_chebyshev_coeffs(2.0, 30, 200) - ref) / ref) <= 1e-15
+
+
+def _uniform_grid(alpha, n_max, panels, degree):
+    """The plain composite rule: ``panels`` equal Gauss-Legendre panels."""
+    R = mrs_number(alpha, 2 * n_max) * (1.0 + 3.0 * n_max ** (-2.0 / 3.0)) + 2.0
+    xg, wg = roots_legendre(degree)
+    edges = np.linspace(-R, R, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1] - edges[0])
+    return (mid[:, None] + half * xg[None, :]).ravel(), np.tile(half * wg, panels), R
+
+
+class TestReferenceGrid:
+    """Uniform panels at even-integer alpha, dyadic panels next to 0 otherwise."""
+
+    @pytest.mark.parametrize("alpha", [2.0, 4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("panels", [16, 128])
+    def test_even_alpha_is_the_uniform_grid(self, alpha, panels):
+        x, w, R = _reference_grid(alpha, 100, panels, 24)
+        x_ref, w_ref, R_ref = _uniform_grid(alpha, 100, panels, 24)
+        assert R == R_ref
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.8, 3.0])
+    @pytest.mark.parametrize("panels", [16, 256])
+    def test_graded_grid_is_ascending_and_mirrored(self, alpha, panels):
+        x, w, R = _reference_grid(alpha, 50, panels, 24)
+        levels = orthopoly._GRADED_LEVELS
+        assert x.size == (panels - 2 + 2 * (levels + 1)) * 24
+        assert np.all(np.diff(x) > 0) and -R < x[0] and x[-1] < R
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        # the innermost panel is [0, h 2^-levels], h = 2R / panels
+        assert 0 < x[x.size // 2] < 2 * R / panels * 2.0 ** -levels
+        assert np.all(w > 0)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 3.0])
+    def test_graded_grid_passes_the_mirror_check(self, alpha):
+        basis = build_basis(alpha, 40)
+        x, w, _ = _reference_grid(alpha, 40, 32, 24)
+        assert _verify_orthonormality(basis, x, w, 1e-8) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 3.0, 5.0])
+    @pytest.mark.parametrize("panels", [16, 64, 256])
+    def test_integrates_the_weight(self, alpha, panels):
+        # integral of W = 2 Gamma(1 + 1/alpha) pi^(-1/alpha)
+        x, w, _ = _reference_grid(alpha, 100, panels, 24)
+        with mp.workdps(30):
+            exact = float(2 * mp.gamma(1 + 1 / mp.mpf(alpha)) * mp.pi ** (-1 / mp.mpf(alpha)))
+        assert math.fsum(w * weight_value(alpha, x)) == pytest.approx(exact, rel=1e-14)
+
+
+class TestBuildBasisWholeDomain:
+    """alpha that is not an even integer: the graded grid converges fast."""
+
+    @pytest.mark.parametrize("alpha, n_max", [(1.2, 100), (1.5, 20), (1.8, 512)])
+    def test_builds(self, alpha, n_max):
+        basis = build_basis(alpha, n_max)
+        assert basis.n_max == n_max
+        assert np.all(np.isfinite(basis.coeffs)) and np.all(basis.coeffs > 0)
+
+    def test_passes_at_alpha_1_8(self, monkeypatch):
+        sizes = []
+        real = orthopoly._stieltjes_pass
+
+        def counted(alpha, n_max, x, w):
+            sizes.append(x.size)
+            return real(alpha, n_max, x, w)
+
+        monkeypatch.setattr(orthopoly, "_stieltjes_pass", counted)
+        build_basis(1.8, 100)
+        assert len(sizes) <= 4
 
 
 class TestVerifyOrthonormality:
