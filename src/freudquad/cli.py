@@ -125,13 +125,17 @@ def _cmd_nodes(args) -> int:
     return 0
 
 
+def _fmt_slope(slope: float | None) -> str:
+    return "n/a" if slope is None else f"{slope:.6f}"
+
+
 def _emit_table(table: WCETable, args, stem: str) -> None:
     if args.out is None or args.out == "-":
         if args.format == "json":
             sys.stdout.write(json.dumps(table.summary(), indent=2) + "\n")
         else:
             sys.stdout.write(table.to_csv())
-        print(f"slope = {table.slope:.6f}", file=sys.stderr)
+        print(f"slope = {_fmt_slope(table.slope)}", file=sys.stderr)
         return
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -139,7 +143,7 @@ def _emit_table(table: WCETable, args, stem: str) -> None:
     (out / f"{stem}.json").write_text(
         json.dumps(table.summary(), indent=2) + "\n", encoding="utf-8", newline="\n"
     )
-    print(f"{stem}: slope={table.slope:.6f} -> {out / (stem + '.csv')}")
+    print(f"{stem}: slope={_fmt_slope(table.slope)} -> {out / (stem + '.csv')}")
 
 
 def _cmd_wce(args) -> int:

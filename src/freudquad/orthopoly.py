@@ -189,7 +189,9 @@ def _verify_orthonormality(basis: FreudBasis, x, w, tol: float) -> float:
     numpy sends to syrk without a copy.  At most one chunk of basis columns
     is held.  The combined root weight is hypot(sqrt(w(x)), sqrt(w(-x))), so
     a negative or NaN weight on either half gives a NaN defect, which fails
-    the check.
+    the check.  Where h_0 = c0 * W underflows to 0 the recurrence makes every
+    h_k exactly 0 too, so those points add nothing to the Gram matrix and
+    are left out of it; only their weights are still checked for NaN.
     """
     x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
     half = x.size // 2
@@ -199,18 +201,25 @@ def _verify_orthonormality(basis: FreudBasis, x, w, tol: float) -> float:
     ):
         raise ValueError("the verification grid must be mirrored about 0")
     root_w = np.hypot(np.sqrt(w[half:]), np.sqrt(w[half - 1::-1]))
+    # the h_0 of _sweep: zero there means a zero column of every h_k
+    live = basis.c0 * np.exp(-math.pi * np.abs(xp) ** basis.alpha) != 0
+    dead_w = root_w[~live]
+    xp, root_w = xp[live], root_w[live]
     n = basis.n_max
     Ge = np.zeros((n // 2 + 1, n // 2 + 1))  # h_0, h_2, ...
     Go = np.zeros(((n + 1) // 2, (n + 1) // 2))  # h_1, h_3, ...
-    for i in range(0, half, _GRAM_CHUNK):
+    for i in range(0, xp.size, _GRAM_CHUNK):
         H = basis_matrix(basis, xp[i:i + _GRAM_CHUNK], n)
         H *= root_w[i:i + _GRAM_CHUNK]
         He, Ho = H[0::2], H[1::2]
         Ge += He @ He.T
         Go += Ho @ Ho.T
         del H, He, Ho  # so the next chunk is not built while this one is held
-    # np.max, unlike max(), keeps a NaN from either block
-    defect = float(np.max([np.abs(G - np.eye(len(G))).max() for G in (Ge, Go)]))
+    # np.max, unlike max(), keeps a NaN from either block or a left-out weight
+    defect = float(np.max([
+        *(np.abs(G - np.eye(len(G))).max() for G in (Ge, Go)),
+        np.max(0.0 * dead_w, initial=0.0),
+    ]))
     if not defect <= tol:
         raise ConvergenceError(
             f"orthonormality defect {defect:.3e} exceeds tolerance {tol:.1e}"
@@ -269,6 +278,10 @@ def _sweep(basis: FreudBasis, x, stop: int, block: int = 1024):
     functions, run once from h_0 = c0 * W(x) for an array ``x`` of any
     shape with at least one axis.  ``H`` has shape ``(b, *x.shape)`` with
     ``H[j] = h_{k0+j}(x)`` and ``b <= block``; every block is a fresh array.
+
+    Each step h_{k+1} = (x h_k - a_k h_{k-1}) / a_{k+1} runs as the four
+    elementwise operations of that expression, in its order, written into
+    the output row and one scratch row, so a mode allocates nothing.
     """
     if stop > basis.n_max:
         raise CapacityError(
@@ -276,15 +289,22 @@ def _sweep(basis: FreudBasis, x, stop: int, block: int = 1024):
             required=stop,
         )
     x = np.asarray(x, dtype=float)
-    a = [0.0, *basis.coeffs[:stop].tolist()]  # a[k] = a_k, a_0 = 0
-    h_prev = 0.0  # h_{-1}; rows are written in place, no extra row is held
+    # on a few hundred nodes the cost is the per-call overhead: np.float64
+    # coefficients are not converted on every call, and the ufuncs are local
+    a = list(np.concatenate(([0.0], basis.coeffs[:stop])))  # a[k] = a_k, a_0 = 0
+    mul, sub, div = np.multiply, np.subtract, np.divide
+    h_prev = np.zeros(x.shape)  # h_{-1}
+    t = np.empty(x.shape)
     for k0 in range(0, stop + 1, block):
         H = np.empty((min(block, stop + 1 - k0), *x.shape))
         for k, h in zip(range(k0, stop + 1), H):
             if k == 0:
                 h[...] = basis.c0 * np.exp(-math.pi * np.abs(x) ** basis.alpha)
             else:
-                np.divide(x * h_cur - a[k - 1] * h_prev, a[k], h)
+                mul(x, h_cur, h)
+                mul(a[k - 1], h_prev, t)
+                sub(h, t, h)
+                div(h, a[k], h)
                 h_prev = h_cur
             h_cur = h
         yield k0, H

@@ -14,11 +14,18 @@ cancels to ~1e-19 absolute for the deep-decay cases), so it is evaluated
 in 40-digit arithmetic: one ``mp.exp`` per node pair, about m^2/2 for m
 nodes, and about m^2/4 on a rule whose nodes and weights are mirrored about
 0 (every Gauss rule), where each mirrored pair's term is reused.
+
+The series route adds its terms exactly and rounds the sum once
+(``_exact_sum``): each term's integer mantissa is cut into limbs, the limbs
+are summed per binary exponent with ``np.bincount``, and the bins are
+combined into one Python int.  The result is correctly rounded, so it is
+bit-identical to ``math.fsum`` of the same terms, in any order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -156,7 +163,9 @@ def _wce_series_rows(
     the same per-mode dot product as a row on its own, so every value is
     bit-identical to a ``wce_series`` call.  The truncation index is
     computed once per distinct ``start``, and the weights lambda_k once
-    over the union of the rows' index ranges.  Returns one
+    over the union of the rows' index ranges.  A row's terms
+    lambda_k^{-1} e_k^2 are summed exactly and rounded once by
+    ``_exact_sum``, so the value does not depend on their order.  Returns one
     entry per row: the value, or the ``ValueError``/``FreudQuadError`` that
     row raised (bad input, truncation, capacity, or the shared lambda_k
     evaluation), which fails that row alone.
@@ -216,8 +225,53 @@ def _wce_series_rows(
                 e[0] -= 1.0 / basis.c0  # integral of h_0 W; zero for k >= 1
             sq.append(e * e)
     for slot, _, start, K, _, sq in live:
-        results[slot] = math.fsum(np.concatenate(sq) / lam[start - k_lo:K + 1 - k_lo])
+        results[slot] = _exact_sum(np.concatenate(sq) / lam[start - k_lo:K + 1 - k_lo])
     return results
+
+
+_LIMB_BITS = 18  # three limbs cover a 53-bit mantissa; see _exact_sum
+
+
+def _exact_sum(v) -> float:
+    """The sum of the floats in ``v``, exact and rounded once half-even.
+
+    This is the value ``math.fsum`` returns, which is correctly rounded too,
+    computed with array operations instead of one scalar at a time.  Every
+    finite double is m * 2**(e - 53) with an integer |m| < 2**53
+    (``np.frexp``, exact for subnormals too).  m is cut into three 18-bit
+    limbs (the top one signed), and each limb is summed per exponent e with
+    ``np.bincount``; a bin of fewer than 2**35 terms sums to an integer below
+    2**53, so the float64 bins are exact.  The nonzero bins are combined into
+    one Python int N with the sum equal to N * 2**(e_min - 53), and that is
+    rounded once: by int-to-float conversion when e_min >= 53, else by
+    CPython's int true division, which is correctly rounded half-even on the
+    normal and subnormal grids alike.  An inf or NaN term makes the sum inf
+    or NaN, as numpy's sum gives it.
+    """
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size == 0:
+        return 0.0
+    if not np.isfinite(v).all():
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN
+            return float(v.sum())
+    frac, e = np.frexp(v)
+    m = (frac * 2.0**53).astype(np.int64)
+    e_min = int(e.min())
+    e -= e_min
+    mask = (1 << _LIMB_BITS) - 1
+    limbs = (m & mask, (m >> _LIMB_BITS) & mask, m >> 2 * _LIMB_BITS)
+    # the sum is exactly sum_p bit_sums[p] * 2**(p + e_min - 53)
+    size = int(e.max()) + 1
+    bit_sums = np.zeros(size + 2 * _LIMB_BITS, dtype=np.int64)
+    for j, limb in enumerate(limbs):
+        at = j * _LIMB_BITS
+        bit_sums[at:at + size] += np.bincount(e, weights=limb).astype(np.int64)
+    pos = np.flatnonzero(bit_sums)
+    total = sum(map(operator.lshift, bit_sums[pos].tolist(), pos.tolist()))
+    shift = e_min - 53
+    if shift >= 0:
+        return float(total << shift)
+    return total / (1 << -shift)
 
 
 def series_truncation(
@@ -288,15 +342,17 @@ class WCETable:
 
     ``axis`` selects the abscissa of the least-squares fit: "n",
     "sqrt-n", or "log-n".  Rows with nonpositive error (tiny negatives
-    are clamped to zero and flagged) are excluded from the fit.
+    are clamped to zero and flagged) are excluded from the fit; with fewer
+    than two positive rows there is no fit, and ``slope`` and ``intercept``
+    are None.
     """
 
     params: dict
     ns: tuple
     wce: tuple
     axis: str
-    slope: float
-    intercept: float
+    slope: float | None
+    intercept: float | None
     theory_slope: float | None = None
     clamped: tuple = ()
 
@@ -327,7 +383,7 @@ class WCETable:
             vals.append(v)
         xs = [_AXIS_MAPS[axis](n) for n, v in zip(ns, vals) if v > 0.0]
         ys = [math.log10(v) for v in vals if v > 0.0]
-        slope, intercept = slope_fit(xs, ys)
+        slope, intercept = slope_fit(xs, ys) if len(xs) >= 2 else (None, None)
         return cls(
             params=dict(params),
             ns=tuple(ns),

@@ -116,6 +116,21 @@ class TestWce:
         assert all(v > 0 for v in values)
         assert values == sorted(values, reverse=True)
 
+    def test_one_row_table_has_no_slope(self, capsys, tmp_path):
+        argv = ("wce", "--space", "hs", "--s", "3", "--n-range", "5")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2  # header and the n = 5 row
+        assert err == "slope = n/a\n"
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["slope"] is None and payload["intercept"] is None
+        assert [n for n, _ in payload["rows"]] == [5]
+        code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0
+        assert "slope=n/a" in out
+
     def test_hs_gets_default_depth(self, capsys):
         code, out, _ = run_cli(
             capsys, "wce", "--space", "hs", "--s", "3", "--n-range", "3,5",

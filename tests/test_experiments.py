@@ -114,6 +114,12 @@ class TestRunFigure:
         line = ys[0] + table.theory_slope * (xs - xs[0])
         assert np.max(ys - line) <= 1e-09
 
+    def test_one_row_keeps_its_value_without_a_fit(self):
+        table = run_figure("fig2a", n_values=(5,))
+        assert table.ns == (5,)
+        assert table.slope is None and table.intercept is None
+        assert table.wce == run_figure("fig2a", n_values=(5, 7)).wce[:1]
+
     def test_failed_rows_are_marked_not_dropped(self, monkeypatch):
         import freudquad.experiments as exp
 

@@ -338,6 +338,18 @@ class TestVerifyOrthonormality:
             with pytest.raises(ConvergenceError, match="defect nan"):
                 _verify_orthonormality(basis, x, w, 1e-8)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_weight_where_h0_underflows_is_rejected(self, quartic, bad):
+        # every h_k is exactly 0 at the outermost points, which the Gram sums
+        # leave out; a bad weight there must still fail the check
+        basis, x, w = quartic
+        assert eval_basis(basis, x[0], 1)[0] == 0.0
+        w = w.copy()
+        w[0] = bad * abs(w[0])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ConvergenceError, match="defect nan"):
+                _verify_orthonormality(basis, x, w, 1e-8)
+
     def test_perturbed_odd_coefficient_is_rejected(self, quartic):
         # a_51 moves h_51 first; the test above perturbs a_50, which moves h_50
         basis, x, w = quartic
@@ -482,6 +494,20 @@ class TestSweep:
             assert np.array_equal(
                 basis_matrix(basis, self.XS, 40), _loop_matrix(basis, self.XS, 40)
             )
+
+    def test_long_sweep_matches_loop(self, basis2_deep):
+        # 0, negative points, and x = 16 where h_0 = c0 exp(-256 pi) underflows
+        x = np.array([-16.0, -9.5, -0.3, 0.0, 1e-3, 4.25, 16.0])
+        assert eval_basis(basis2_deep, 16.0, 0)[0] == 0.0
+        got = self._blocks(basis2_deep, x, 3000, 7)
+        assert np.array_equal(got, _loop_matrix(basis2_deep, x, 3000))
+
+    def test_yielded_blocks_are_not_overwritten(self, basis4):
+        blocks, copies = [], []
+        for _, H in _sweep(basis4, self.XS, 40, 7):
+            blocks.append(H)
+            copies.append(H.copy())
+        assert all(np.array_equal(H, C) for H, C in zip(blocks, copies))
 
     def test_stop_zero(self, basis2):
         for block in (1, 7):

@@ -25,7 +25,7 @@ from freudquad import (
 )
 import freudquad.wce as wce_mod
 from freudquad.experiments import _shifted_rule
-from freudquad.wce import _wce_series_rows, series_truncation
+from freudquad.wce import _exact_sum, _wce_series_rows, series_truncation
 
 
 def me2_reference(nodes, omega, t):
@@ -406,7 +406,75 @@ class TestSlopeFit:
         assert got_intercept == pytest.approx(intercept, abs=1e-9)
 
 
+class TestExactSum:
+    """``_exact_sum`` is correctly rounded, so it returns math.fsum's bits."""
+
+    # bounded so that 60 terms cannot overflow (test_overflow_raises_as_fsum_does)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e300), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_nonnegative_matches_fsum(self, values):
+        got = _exact_sum(np.array(values, dtype=float))
+        assert got.hex() == math.fsum(values).hex()
+
+    @given(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_signed_matches_fsum(self, values):
+        got = _exact_sum(np.array(values, dtype=float))
+        assert got == math.fsum(values)
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([1.0, 2.0**-53], 1.0),  # tie, down to the even neighbour
+            ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51),  # tie, up to even
+            ([1.0, 2.0**-53, 2.0**-106], 1.0 + 2.0**-52),  # just past the tie
+            ([1.0, 2.0**-53, -(2.0**-106)], 1.0),  # just short of it
+            ([2.0**-53, 1.0, 2.0**-53], 1.0 + 2.0**-52),  # two halves make one ulp
+            ([2.0**-1074] * 3, 3 * 2.0**-1074),  # subnormals sum exactly
+            ([1e-300, 2.0**-1074, -1e-300], 2.0**-1074),  # cancels to a subnormal
+            ([1e300, 1.0, -1e300], 1.0),
+        ],
+    )
+    def test_rounds_once_half_even(self, values, expected):
+        assert _exact_sum(np.array(values)) == expected == math.fsum(values)
+
+    def test_zeros_and_empty(self):
+        assert _exact_sum(np.zeros(5)) == 0.0
+        assert _exact_sum(np.array([])) == 0.0
+
+    def test_more_terms_than_one_limb_holds(self):
+        # every limb all ones: each per-exponent limb sum passes 2**36
+        n = 2**18 + 3
+        top = np.nextafter(2.0, 0.0)
+        assert _exact_sum(np.full(n, top)) == math.fsum([top] * n)
+        rng = np.random.default_rng(5)
+        v = rng.integers(2**52, 2**53, n) * 2.0 ** rng.integers(-60, 0, n)
+        assert _exact_sum(v) == math.fsum(v)
+
+    def test_non_finite(self):
+        assert _exact_sum(np.array([1.0, math.inf])) == math.inf
+        assert math.isnan(_exact_sum(np.array([1.0, math.nan])))
+        with np.errstate(invalid="raise"):
+            assert math.isnan(_exact_sum(np.array([math.inf, -math.inf])))
+
+    def test_overflow_raises_as_fsum_does(self):
+        with pytest.raises(OverflowError):
+            _exact_sum(np.array([1e308, 1e308]))
+
+    def test_returns_a_python_float(self):
+        assert type(_exact_sum(np.array([1.0, 2.0]))) is float
+        assert type(_exact_sum(np.array([2.0**60, 2.0**61]))) is float
+        assert type(_exact_sum(np.array([math.inf]))) is float
+
+
 class TestWCETable:
+    def test_fewer_than_two_positive_rows_have_no_fit(self):
+        for ns, values in [([5], [1e-3]), ([3, 5], [1e-3, 0.0]), ([], [])]:
+            table = WCETable.from_rows({}, ns, values, axis="n")
+            assert table.slope is None and table.intercept is None
+            assert table.summary()["slope"] is None
+        assert WCETable.from_rows({}, [3, 5], [1.0, 0.1], axis="n").slope == -0.5
+
     def test_clamps_tiny_negative(self):
         table = WCETable.from_rows({}, [3, 5, 7], [1e-2, -1e-16, 1e-4], axis="n")
         assert table.wce[1] == 0.0
