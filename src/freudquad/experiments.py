@@ -33,7 +33,6 @@ import numpy as np
 
 from .gaussquad import gauss_rule
 from .mzframe import build_system, generalized_weights, perturb_nodes, support_check
-from .kernels import _ENVELOPE_K_CAP, sup_envelope_constant
 from .orthopoly import build_basis
 from .spaces import SpaceWeight
 from .wce import WCETable, _wce_series_rows, series_truncation, wce_me2
@@ -152,14 +151,21 @@ def _rule_shape(spec: FigureSpec, n: int) -> tuple[int, int]:
 
 def _required_capacity(spec: FigureSpec) -> int:
     """The largest rule's size plus one, and on the series route the fixed
-    depth or the top row's truncation index plus a margin of four."""
+    depth or the top row's truncation index plus a margin of four.
+
+    The truncation index needs no basis, so the table builds one basis, at
+    this capacity.  The sweep itself needs capacity K only; the four extra
+    modes stay because at alpha != 2 the capacity also sizes the Stieltjes
+    reference grid (``orthopoly._reference_grid``), so dropping them would
+    move the alpha != 2 coefficients, and the pinned alpha = 4 outputs, in
+    their last bits.
+    """
     size, start = _rule_shape(spec, max(spec.n_values))
     if spec.kernel_route:
         return size + 1
     if spec.k_max is not None:
         return max(spec.k_max, size + 1)
-    sup = sup_envelope_constant(build_basis(spec.alpha, _ENVELOPE_K_CAP))
-    K = series_truncation(spec.space(), start, spec.trunc_tol, spec.alpha, sup)
+    K = series_truncation(spec.space(), start, spec.trunc_tol, spec.alpha)
     return max(K + 4, size + 1)
 
 

@@ -39,23 +39,20 @@ class QuadratureRule:
 
 
 def _newton_polish(basis: FreudBasis, n: int, x: np.ndarray) -> np.ndarray:
-    """One Newton step on h_n using the recurrence for h and h'."""
-    # not built on _sweep: the derivative recurrence runs in lockstep with h
+    """One Newton step on h_n, with h_0..h_n from ``basis_matrix`` and h'
+    from the differentiated recurrence
+    h'_{k+1} = (h_k + x h'_k - a_k h'_{k-1}) / a_{k+1}."""
     a = basis.coeffs
-    h_prev = np.zeros_like(x)
-    h_cur = basis.c0 * weight_value(basis.alpha, x)
+    H = basis_matrix(basis, x, n)
     # W'(x) = -pi*alpha*|x|^(alpha-1)*sign(x) * W(x); continuous for alpha > 1
-    d_prev = np.zeros_like(x)
-    d_cur = h_cur * (-math.pi * basis.alpha * np.abs(x) ** (basis.alpha - 1.0) * np.sign(x))
+    dlogW = -math.pi * basis.alpha * np.abs(x) ** (basis.alpha - 1.0) * np.sign(x)
+    d_prev, d_cur = np.zeros_like(x), H[0] * dlogW
     for k in range(n):
         am = a[k - 1] if k >= 1 else 0.0
-        h_next = (x * h_cur - am * h_prev) / a[k]
-        d_next = (h_cur + x * d_cur - am * d_prev) / a[k]
-        h_prev, h_cur = h_cur, h_next
-        d_prev, d_cur = d_cur, d_next
+        d_prev, d_cur = d_cur, (H[k] + x * d_cur - am * d_prev) / a[k]
     safe = np.abs(d_cur) > 0
     step = np.zeros_like(x)
-    step[safe] = h_cur[safe] / d_cur[safe]
+    step[safe] = H[n][safe] / d_cur[safe]
     return x - step
 
 

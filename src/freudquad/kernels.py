@@ -5,10 +5,13 @@ alpha = 2 is
 
     K_t(x, y) = sqrt(2/(t^2-1)) * exp( pi/(t^2-1) * (4 t x y - (t^2+1)(x^2+y^2)) )
 
-All other kernels are expansions sum lambda_k^{-1} h_k(x) h_k(y), which the
-series route (``wce.wce_series``) truncates at an index from a uniform-in-x
-envelope of |h_k|^2, whose constant is measured at startup (the theory
-provides only its existence).
+All other kernels are expansions sum lambda_k^{-1} h_k(x) h_k(y).  Their
+tails are bounded through the uniform-in-x envelope
+sup_x |h_k(x)|^2 <= C k^(1/3 - 1/alpha).  The theory gives the exponent and
+only the existence of C; ``sup_envelope_constant`` measures C on a basis
+for absolute tail bounds (``tail_index``).  The series route
+(``wce.wce_series``) bounds its tail relative to the first retained term,
+where C cancels, so it uses the exponent alone.
 """
 
 from __future__ import annotations
@@ -52,29 +55,22 @@ def mehler(t: float, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-_sup_cache: dict[tuple[float, int], float] = {}
-
-
 def sup_envelope_constant(basis: FreudBasis) -> float:
     """Measured constant C with sup_x |h_k(x)|^2 <= C * k^(1/3 - 1/alpha).
 
     The envelope exponent is known, the constant is not; it is estimated
     as the maximum of |h_k|^2 k^(1/alpha - 1/3) for k <= 512 on a dense
-    grid over the essential support, times a safety factor of 4.  Cached
-    per (alpha, scanned modes).
+    grid over the essential support, times a safety factor of 4.  The value
+    depends on the basis it is measured on, and each call measures it
+    again.
     """
     kmax = min(_ENVELOPE_K_CAP, basis.n_max)
-    key = (round(float(basis.alpha), 12), kmax)
-    if key in _sup_cache:
-        return _sup_cache[key]
     R = 1.25 * mrs_number(basis.alpha, max(kmax, 1))
     grid = np.linspace(-R, R, 2001)
     H = basis_matrix(basis, grid, kmax)
     k = np.arange(1, kmax + 1, dtype=float)
     envelope = (H[1:] ** 2).max(axis=1) * k ** (1.0 / basis.alpha - 1.0 / 3.0)
-    value = _ENVELOPE_SAFETY * float(envelope.max())
-    _sup_cache[key] = value
-    return value
+    return _ENVELOPE_SAFETY * float(envelope.max())
 
 
 def _exp_tail_bound(K: int, p: float, q: float, gamma_exp: float, const: float) -> float:

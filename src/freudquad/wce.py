@@ -33,7 +33,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import CapacityError, FreudQuadError
-from .kernels import sup_envelope_constant, tail_index
+from .kernels import tail_index
 from .orthopoly import FreudBasis, _sweep
 from .spaces import SpaceWeight, lambda_of
 
@@ -183,14 +183,12 @@ def _wce_series_rows(
             omega = np.asarray(omega, dtype=float)
             if nodes.shape != omega.shape or nodes.ndim != 1:
                 raise ValueError("nodes and omega must be 1-D arrays of equal length")
-            if k_max is None:
-                if start not in truncation:
-                    truncation[start] = series_truncation(
-                        space, start, tol, basis.alpha, sup_envelope_constant(basis)
-                    )
+            if k_max is not None:
+                K = k_max
+            elif start in truncation:
                 K = truncation[start]
             else:
-                K = k_max
+                K = truncation[start] = series_truncation(space, start, tol, basis.alpha)
             if K < start:
                 results[slot] = 0.0
                 continue
@@ -275,18 +273,34 @@ def _exact_sum(v) -> float:
 
 
 def series_truncation(
-    space: SpaceWeight, start: int, tol: float, alpha: float, sup_const: float
+    space: SpaceWeight, start: int, tol: float, alpha: float,
+    sup_const: float | None = None,
 ) -> int:
     """Truncation index used by ``wce_series``: the envelope tail must be
-    below ``tol`` relative to the first retained envelope term."""
+    below ``tol`` relative to the first retained envelope term.
+
+    The envelope sup_x |h_k|^2 <= C k^(1/3 - 1/alpha) has an unknown
+    constant C, and C multiplies both the tail and the first retained term,
+    so it cancels: the index depends on the space, ``start``, ``tol`` and
+    alpha alone.  ``sup_const`` is accepted for older callers and has no
+    effect.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
     lam_start = float(lambda_of(space, start))
     if math.isinf(lam_start):
         raise FreudQuadError(
             f"lambda_start (k = {start}) of the {space.kind} weight overflows to "
             "inf, so the series tail bound cannot be formed"
         )
-    first = sup_const * max(start, 1) ** (1.0 / 3.0 - 1.0 / alpha) / lam_start
-    return tail_index(space, start, tol * first, alpha, sup_const)
+    target = tol * (max(start, 1) ** (1.0 / 3.0 - 1.0 / alpha) / lam_start)
+    if target == 0.0:
+        raise FreudQuadError(
+            f"tol = {tol:.1e} times the first retained envelope term (k = {start}, "
+            f"lambda_start = {lam_start:.3e}) underflows to 0, so the series "
+            "tail bound cannot be formed"
+        )
+    return tail_index(space, start, target, alpha, 1.0)
 
 
 def wce_bound(phi: float, a_n: float) -> float:

@@ -232,13 +232,53 @@ class TestWce:
         assert out == run_figure(fid, n_values=(3, 5, 7, 9)).to_csv()
 
     def test_alpha_1_8_table(self, capsys):
-        # sizes its truncation from a 512-mode basis at alpha = 1.8
         code, out, _ = run_cli(capsys, "wce", "--alpha", "1.8", "--space", "epq",
                                "--p", "1", "--q", "1", "--n-range", "3:9:2")
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert [int(r[0]) for r in rows] == [3, 5, 7, 9]
         assert all(0 < float(r[1]) < 1e-3 for r in rows)
+
+    def test_alpha_1_2_table(self, capsys):
+        # the truncation needs no basis, so only the table's 59-mode basis is
+        # built; a 512-mode basis does not converge at alpha = 1.2
+        code, out, _ = run_cli(capsys, "wce", "--alpha", "1.2", "--space", "epq",
+                               "--p", "1", "--q", "1", "--n-range", "3:9:2")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [3, 5, 7, 9]
+        deep = build_basis(1.2, 120)
+        space = SpaceWeight.exponential(1.0, 1.0)
+        for n, value in ((int(r[0]), float(r[1])) for r in rows):
+            rule = gauss_rule(deep, n)
+            ref = wce_series(rule.nodes, rule.omega, deep, space, 2 * n, k_max=110)
+            assert math.isfinite(value) and value > 0
+            assert value == pytest.approx(ref, rel=1e-10)
+
+    def test_table_builds_one_basis(self, capsys, monkeypatch):
+        import freudquad.experiments as exp
+
+        calls = []
+
+        def recorded(alpha, n_max):
+            calls.append((alpha, n_max))
+            return build_basis(alpha, n_max)
+
+        monkeypatch.setattr(exp, "build_basis", recorded)
+        code, _, _ = run_cli(capsys, "wce", "--alpha", "4", "--space", "epq",
+                             "--p", "1", "--q", "1", "--n-range", "3:41:2")
+        assert code == 0
+        assert calls == [(4.0, 123)]
+
+    def test_underflowing_tail_target_is_numerical_failure(self, capsys):
+        # lambda_84 = exp(0.1 * 84^2) ~ e^705.6, so 1e-20 times the first
+        # retained envelope term is below the smallest double
+        code, out, err = run_cli(capsys, "wce", "--space", "epq", "--p", "2", "--q",
+                                 "0.1", "--n-range", "42", "--trunc-tol", "1e-20")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: tol = 1.0e-20 times the first")
+        assert "underflows to 0" in err
 
     def test_first_failed_row_is_raised(self, capsys):
         code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "3",

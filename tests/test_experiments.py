@@ -135,6 +135,32 @@ class TestRunFigure:
         assert table.params["failures"] == {"13": "RuntimeError: synthetic row failure"}
         assert table.ns == (3, 17)
 
+    def test_series_route_does_not_measure_the_envelope_constant(
+        self, monkeypatch, basis2_deep
+    ):
+        import freudquad
+        import freudquad.experiments as exp
+        import freudquad.kernels as kernels
+        import freudquad.mzframe as mzframe
+        import freudquad.wce as wce
+        from freudquad import build_system, gauss_rule, phi_lambda
+
+        def unmeasured(basis):
+            raise AssertionError("sup_envelope_constant called on the series route")
+
+        for module in (freudquad, kernels, wce, exp, mzframe):
+            monkeypatch.setattr(
+                module, "sup_envelope_constant", unmeasured, raising=False
+            )
+        for fid in ("fig2a", "fig3a"):
+            assert not run_figure(fid, n_values=(3, 5)).params.get("failures")
+        quartic = FigureSpec(id="wce", n_values=(3, 5), alpha=4.0,
+                             space_weight=SpaceWeight.exponential(1.0, 1.0))
+        assert not run_figure(quartic).params.get("failures")
+        rule = gauss_rule(basis2_deep, 21)
+        system = build_system(basis2_deep, 20, rule.nodes, rule.tau)
+        assert phi_lambda(basis2_deep, SpaceWeight.mod_exp(1.0), system) > 0
+
     def test_over_capacity_row_fails_alone(self, monkeypatch):
         import freudquad.experiments as exp
 

@@ -9,8 +9,10 @@ from freudquad import (
     SpaceWeight,
     UnboundedTailError,
     basis_matrix,
+    build_basis,
     lambda_of,
     mehler,
+    mrs_number,
     sup_envelope_constant,
     tail_index,
 )
@@ -100,6 +102,19 @@ class TestTailIndex:
         sup = sup_envelope_constant(basis2)
         K = tail_index(space, 4000, 1e-6, 2.0, sup)
         assert K == 3999
+
+
+class TestSupEnvelopeConstant:
+    def test_each_basis_gets_its_own_value(self):
+        # measured on the basis it is given, whatever was measured before
+        wide, narrow = build_basis(4.0, 800), build_basis(4.0, 512)
+        sup_envelope_constant(wide)
+        R = 1.25 * mrs_number(4.0, 512)
+        H = basis_matrix(narrow, np.linspace(-R, R, 2001), 512)
+        k = np.arange(1, 513, dtype=float)
+        own = 4.0 * float(((H[1:] ** 2).max(axis=1) * k ** (0.25 - 1.0 / 3.0)).max())
+        assert sup_envelope_constant(narrow) == own
+        assert sup_envelope_constant(wide) != own
 
 
 class TestEnvelopeTailLaws:

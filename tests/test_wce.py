@@ -298,13 +298,44 @@ class TestSeriesTruncation:
         with pytest.raises(FreudQuadError, match=r"lambda_start \(k = 710\)"):
             series_truncation(space, 710, 1e-16, 2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "space, alpha, starts",
+        [
+            (SpaceWeight.mod_exp(1.0), 2.0, range(6, 43, 4)),  # fig2a, k = 2n
+            (SpaceWeight.mod_exp(0.5), 2.0, range(6, 43, 4)),  # fig2b
+            (SpaceWeight.mod_exp(0.5), 2.0, range(4, 23, 2)),  # fig3a, k = n+1
+            (SpaceWeight.exponential(1.0, 1.0), 4.0, range(6, 83, 4)),
+        ],
+    )
+    def test_envelope_constant_cancels(self, basis2, basis4, space, alpha, starts):
+        # the fifth argument, once the measured envelope constant, is ignored
+        measured = sup_envelope_constant(basis2 if alpha == 2.0 else basis4)
+        for start in starts:
+            Ks = {series_truncation(space, start, 1e-16, alpha, c)
+                  for c in (1.0, measured, 1e3)}
+            assert Ks == {series_truncation(space, start, 1e-16, alpha)}
+
+    def test_nonpositive_tol_is_rejected(self):
+        space = SpaceWeight.exponential(1.0, 1.0)
+        for tol in (0.0, -1e-16, float("nan")):
+            with pytest.raises(ValueError, match="tol must be > 0"):
+                series_truncation(space, 10, tol, 2.0)
+
+    def test_underflowing_target_is_a_typed_failure(self):
+        # lambda_84 ~ e^705.6: 1e-16 times the first envelope term is a
+        # normal double, 1e-20 times it is below the smallest subnormal
+        space = SpaceWeight.exponential(2.0, 0.1)
+        assert series_truncation(space, 84, 1e-16, 2.0) >= 84
+        with pytest.raises(FreudQuadError, match="underflows to 0"):
+            series_truncation(space, 84, 1e-20, 2.0)
+
     # a one-node row ([x], [1]) sums lambda_k^-1 e_k^2 with e_k = h_k(x) for
     # k >= 1: the diagonal of the kernel expansion, cut by the envelope bound
 
     def test_self_consistency_doubled_depth(self, basis2_deep):
         space = SpaceWeight.exponential(0.5, 1.0 / math.sqrt(math.pi))
         node, one = np.array([0.5]), np.array([1.0])
-        K = series_truncation(space, 42, 1e-14, 2.0, sup_envelope_constant(basis2_deep))
+        K = series_truncation(space, 42, 1e-14, 2.0)
         v1 = wce_series(node, one, basis2_deep, space, 42, tol=1e-14)
         v2 = wce_series(node, one, basis2_deep, space, 42, k_max=2 * K)
         assert abs(v1 - v2) <= 1e-12 * abs(v2) + 1e-15
