@@ -37,17 +37,16 @@ import numpy as np
 from . import __version__
 from .errors import FreudQuadError
 from .experiments import (
-    FIGURE_IDS, SPACE_NAMES, FigureSpec, _shifted_rule, _table_rows, figure_spec,
-    run_figure,
+    FIGURE_IDS, FigureSpec, _shifted_rule, _table_rows, figure_spec, run_figure,
 )
 from .gaussquad import gauss_rule
 from .mzframe import build_system
 from .orthopoly import basis_matrix, build_basis
-from .spaces import SpaceWeight, lambda_of
+from .spaces import _KINDS, SpaceWeight, lambda_of
 from .wce import WCETable, tensor_wce, wce_me2, wce_series
 
 # CLI space names -> SpaceWeight kinds
-_SPACE_KINDS = {name: kind for kind, name in SPACE_NAMES.items()}
+_SPACE_KINDS = {name: kind for kind, (name, _) in _KINDS.items()}
 
 
 def _fmt(x: float) -> str:
@@ -156,8 +155,7 @@ def _cmd_wce(args) -> int:
         raise ValueError("--s does not apply to --space epq")
     if args.s is not None and args.t is not None:
         raise ValueError("--s and --t both set the mse2 weight; give one")
-    kind = _SPACE_KINDS[args.space]
-    if kind == "exp":
+    if args.space == "epq":
         if None in (args.p, args.q):
             raise ValueError("--space epq needs --p and --q")
         weight = SpaceWeight.exponential(args.p, args.q)
@@ -166,7 +164,8 @@ def _cmd_wce(args) -> int:
             raise ValueError("--t must exceed 1")
         weight = SpaceWeight.geometric(args.t)
     else:
-        weight = SpaceWeight(kind, s=1.0 if args.s is None else args.s)
+        s = 1.0 if args.s is None else args.s
+        weight = SpaceWeight(_SPACE_KINDS[args.space], s=s)
     spec = FigureSpec(
         id="wce", n_values=tuple(ns), space_weight=weight, seed=args.seed,
         trunc_tol=args.trunc_tol, k_max=args.k_max, alpha=args.alpha,
@@ -189,7 +188,7 @@ def _cmd_wce(args) -> int:
         lam0 = float(lambda_of(weight, 0))
         values = [tensor_wce(v, 1.0 / basis.c0, lam0, args.dim) for v in values]
         params["dim"] = args.dim
-    table = WCETable.from_rows(params, ns, values, axis=spec.axis)
+    table = WCETable.from_rows(params, ns, values, axis=weight.axis)
     _emit_table(table, args, f"wce_{args.space}")
     return 0
 

@@ -1,8 +1,8 @@
 """End-to-end error-decay experiments (the three figure families).
 
 Each figure id fixes a rule family, a space and an n-range.  The space is
-one ``SpaceWeight``, and the route, the fit axis, the theory slope and the
-reported space name all follow from it:
+one ``SpaceWeight``: the route follows from it, and the weight gives the
+reported ``name``, the fit ``axis`` and the ``theory_slope``:
 
     fig1a/fig1b  Gauss rules, geometric decay t = 5/4 and 50/49 (mse2),
                  closed-form kernel route, log10(wce) against n.
@@ -26,7 +26,6 @@ capacity marks that row alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,21 +36,13 @@ from .orthopoly import build_basis
 from .spaces import SpaceWeight
 from .wce import WCETable, _wce_series_rows, series_truncation, wce_me2
 
-__all__ = ["FigureSpec", "figure_spec", "run_figure", "FIGURE_IDS", "SPACE_NAMES"]
-
-_LOG10_E = math.log10(math.e)
+__all__ = ["FigureSpec", "figure_spec", "run_figure", "FIGURE_IDS"]
 
 FIGURE_IDS = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3a", "fig3b", "fig3c")
 
 # Polynomial coefficient weights decay too slowly for the envelope-based
 # auto-truncation, so their series are cut at this fixed recorded depth.
 _POLY_DEPTH = 40_000
-
-
-# report and CLI name of each SpaceWeight kind
-SPACE_NAMES = {
-    "poly": "hs", "exp": "epq", "mod-poly": "ms", "mod-exp": "mse", "mod-exp2": "mse2",
-}
 
 
 @dataclass(frozen=True)
@@ -70,7 +61,7 @@ class FigureSpec:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if self.k_max is None and self.space_weight.kind in ("poly", "mod-poly"):
+        if self.k_max is None and self.space_weight.decay().s is not None:
             object.__setattr__(self, "k_max", _POLY_DEPTH)
 
     def space(self) -> SpaceWeight:
@@ -86,14 +77,6 @@ class FigureSpec:
         """Mehler's closed form is for the Gaussian weight, so a mod-exp2
         table at another alpha sums its series at the weight's t."""
         return self.t is not None and self.alpha == 2.0
-
-    @property
-    def axis(self) -> str:
-        """Slope-fit abscissa: n for geometric decay, sqrt(n) for the
-        sqrt-exponential weights, log10(n) otherwise."""
-        if self.t is not None:
-            return "n"
-        return "sqrt-n" if self.space_weight.kind in ("exp", "mod-exp") else "log-n"
 
 
 _ODD_3_41 = tuple(range(3, 42, 2))
@@ -129,20 +112,6 @@ def worker_count() -> int:
     return 1
 
 
-def _theory_slope(space: SpaceWeight) -> float | None:
-    if space.kind == "exp":
-        # an exp weight is given by (p, q) and has no s: no theory line
-        return None
-    if space.kind == "mod-exp2":
-        # decay at least t^{-2n}: slope -2 log10(t) against n
-        return -2.0 * math.log10(space._t)
-    if space.kind == "mod-exp":
-        # decay at least e^{-q sqrt(2n)}: slope -sqrt(2) q log10(e) against sqrt(n)
-        return -math.sqrt(2.0) * (space.s / math.sqrt(math.pi)) * _LOG10_E
-    # polynomial families: observed decay n^{-s} on the log-log axis
-    return -space.s
-
-
 def _rule_shape(spec: FigureSpec, n: int) -> tuple[int, int]:
     """Node count of row n's rule and the first mode its series sums:
     shifted rules take n+1 nodes from k = n+1, Gauss rules n from k = 2n."""
@@ -170,11 +139,13 @@ def _required_capacity(spec: FigureSpec) -> int:
 
 
 def _check_depth(spec: FigureSpec) -> None:
-    """Reject a fixed series depth below a row's first summed mode: that
-    row would sum nothing and read as an exact rule.  Names the first
-    such row in the given order."""
-    if spec.kernel_route or spec.k_max is None:
+    """Reject a fixed series depth on the kernel route, which sums no
+    series, or below a row's first summed mode, where the row would sum
+    nothing and read as an exact rule (the first such row is named)."""
+    if spec.k_max is None:
         return
+    if spec.kernel_route:
+        raise ValueError("--k-max does not apply to the closed-form kernel route")
     for n in spec.n_values:
         start = _rule_shape(spec, n)[1]
         if spec.k_max < start:
@@ -269,18 +240,19 @@ def run_figure(spec: FigureSpec | str, **overrides) -> WCETable:
 
     _, values, reports, errors = _table_rows(spec)
     ns = sorted(values)
+    space = spec.space()
     params = {
         "figure": spec.id,
-        "space": SPACE_NAMES[spec.space_weight.kind],
+        "space": space.name,
         "alpha": spec.alpha,
         "seed": spec.seed,
-        "axis": spec.axis,
+        "axis": space.axis,
         "trunc_tol": spec.trunc_tol,
     }
     if spec.t is not None:
         params["t"] = spec.t
-    elif spec.space_weight.s is not None:
-        params["s"] = spec.space_weight.s
+    else:  # s, or p and q
+        params.update((k, v) for k, v in space.describe().items() if k != "kind")
     if spec.eps is not None:
         params.update(eps=spec.eps, sign_mode=spec.sign_mode)
     if spec.k_max is not None:
@@ -295,6 +267,6 @@ def run_figure(spec: FigureSpec | str, **overrides) -> WCETable:
         }
 
     return WCETable.from_rows(
-        params, ns, [values[n] for n in ns], axis=spec.axis,
-        theory_slope=_theory_slope(spec.space_weight),
+        params, ns, [values[n] for n in ns], axis=space.axis,
+        theory_slope=space.theory_slope,
     )

@@ -6,12 +6,13 @@ alpha = 2 is
     K_t(x, y) = sqrt(2/(t^2-1)) * exp( pi/(t^2-1) * (4 t x y - (t^2+1)(x^2+y^2)) )
 
 All other kernels are expansions sum lambda_k^{-1} h_k(x) h_k(y).  Their
-tails are bounded through the uniform-in-x envelope
-sup_x |h_k(x)|^2 <= C k^(1/3 - 1/alpha).  The theory gives the exponent and
-only the existence of C; ``sup_envelope_constant`` measures C on a basis
-for absolute tail bounds (``tail_index``).  The series route
-(``wce.wce_series``) bounds its tail relative to the first retained term,
-where C cancels, so it uses the exponent alone.
+tails are bounded through the weight's growth law (``SpaceWeight.decay``)
+and the uniform-in-x envelope sup_x |h_k(x)|^2 <= C k^(1/3 - 1/alpha).
+The theory gives the envelope exponent and only the existence of C;
+``sup_envelope_constant`` measures C on a basis for absolute tail bounds
+(``tail_index``).  The series route (``wce.wce_series``) bounds its tail
+relative to the first retained term, where C cancels, so it uses the
+exponent alone.
 """
 
 from __future__ import annotations
@@ -78,16 +79,19 @@ def _exp_tail_bound(K: int, p: float, q: float, gamma_exp: float, const: float) 
 
     Integral comparison via the upper incomplete gamma function; when the
     summand still increases past K (gamma_exp > 0, small K) one maximal
-    term is added to keep the bound valid.
+    term is added to keep the bound valid.  Beyond the float range it is inf.
     """
     c = (gamma_exp + 1.0) / p
     z = q * float(max(K, 0)) ** p
-    integral = (1.0 / p) * q ** (-c) * gamma(c) * gammaincc(c, z)
-    bound = const * integral
-    if gamma_exp > 0:
-        x_peak = (gamma_exp / (p * q)) ** (1.0 / p)
-        if x_peak > K:
-            bound += const * x_peak**gamma_exp * math.exp(-q * x_peak**p)
+    try:
+        integral = (1.0 / p) * q ** (-c) * gamma(c) * gammaincc(c, z)
+        bound = const * integral
+        if gamma_exp > 0:
+            x_peak = (gamma_exp / (p * q)) ** (1.0 / p)
+            if x_peak > K:
+                bound += const * x_peak**gamma_exp * math.exp(-q * x_peak**p)
+    except OverflowError:  # q^(-c) or the peak is beyond any float
+        return math.inf
     return bound
 
 
@@ -100,45 +104,36 @@ def tail_index(
     below the tolerance.  Raises when the weights grow too slowly for the
     envelope bound to reach ``tol`` below a hard cap.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
-    if not space.has_decay:
+    law = space.decay()
+    if not (law.q if law.s is None else law.s) > 0:
         raise UnboundedTailError(
             f"{space.kind} weight with no growth cannot meet a finite tail bound"
         )
     g = 1.0 / 3.0 - 1.0 / alpha
 
-    if space.kind in ("poly", "mod-poly"):
-        s = space.s
-        const = sup_const
-        if space.kind == "mod-poly":
-            # sound lower bound mu_k >= (1+k)^s (2 pi)^-s from the digamma
-            # inequality psi(k+1) >= log(k + 1/2)
-            const = sup_const * (2.0 * math.pi) ** s
-        beta = s - g
+    if law.s is not None:
+        beta = law.s - g
         if beta <= 1.0:
             raise UnboundedTailError(
-                f"polynomial weight s={s} decays too slowly against the "
+                f"polynomial weight s={law.s} decays too slowly against the "
                 f"k^({g:.3f}) envelope (needs s > {1.0 + g:.3f})"
             )
         # sum_{k>K} k^-beta <= K^(1-beta)/(beta-1)
-        K = max(start - 1, 1)
-        target = (const / (tol * (beta - 1.0))) ** (1.0 / (beta - 1.0))
-        K = max(K, int(math.ceil(target)))
+        try:
+            target = (sup_const * law.c / (tol * (beta - 1.0))) ** (1.0 / (beta - 1.0))
+            K = max(start - 1, 1, math.ceil(target))
+        except OverflowError:  # K is beyond any float
+            K = math.inf
         if K > _TAIL_HARD_CAP:
             raise UnboundedTailError(
-                f"tail bound needs K ~ {K:.3e} terms; weights too slow for tol={tol:.1e}"
+                f"tail bound needs K ~ {K:.3e} terms, above the cap of {_TAIL_HARD_CAP}"
             )
-        return max(K, start - 1)
-
-    # exponential families, possibly with a constant prefactor on lambda^-1
-    equivalent = space.coefficient_equivalent()  # an exp weight returns itself
-    p, q, scale = equivalent.p, equivalent.q, 1.0
-    if space.kind == "mod-exp2":  # lambda_k = t^(k+1) = t * e^(k log t)
-        scale = 1.0 / space._t
+        return K
 
     def bound(K: int) -> float:
-        return _exp_tail_bound(K, p, q, g, scale * sup_const)
+        return _exp_tail_bound(K, law.p, law.q, g, law.c * sup_const)
 
     lo = max(start - 1, 0)
     if bound(lo) < tol:
@@ -148,7 +143,7 @@ def tail_index(
         hi *= 2
         if hi > _TAIL_HARD_CAP:
             raise UnboundedTailError(
-                f"tail bound did not reach tol={tol:.1e} below {_TAIL_HARD_CAP} terms"
+                f"tail bound needs more than the cap of {_TAIL_HARD_CAP} terms"
             )
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -157,4 +152,3 @@ def tail_index(
         else:
             lo = mid
     return hi
-

@@ -2,11 +2,15 @@
 
 A ``SpaceWeight`` selects a rule k -> lambda_k on the basis expansion:
 
-    poly(s)      (1+k)^s
-    exp(p, q)    exp(q k^p)
-    mod-poly(s)  exact radial moment mu_k(s) of the (1+|z|^2)^s window integral
-    mod-exp(s)   exp((s/sqrt(pi)) sqrt(k))      (coefficient-side equivalent)
-    mod-exp2(s)  (pi/(pi-s))^(k+1)              (exact, 0 <= s < pi)
+    poly(s)      hs    (1+k)^s
+    exp(p, q)    epq   exp(q k^p)
+    mod-poly(s)  ms    exact radial moment mu_k(s) of the (1+|z|^2)^s window integral
+    mod-exp(s)   mse   exp((s/sqrt(pi)) sqrt(k))      (coefficient-side equivalent)
+    mod-exp2(s)  mse2  (pi/(pi-s))^(k+1)              (exact, 0 <= s < pi)
+
+The middle column is the report and CLI ``name``.  Only this module tells
+the kinds apart; other modules ask a weight for its ``name``, fit ``axis``,
+``theory_slope`` and growth law ``decay()``.
 
 For the squared-exponential weight (alpha=2) the time-frequency-transform
 norms diagonalize over the basis: the transform maps h_k to a normalized
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -38,13 +43,27 @@ __all__ = [
     "stft_grid_norm_sq",
 ]
 
-_KINDS = ("poly", "exp", "mod-poly", "mod-exp", "mod-exp2")
+# kind -> (report and CLI name, slope-fit axis)
+_KINDS = {
+    "poly": ("hs", "log-n"), "exp": ("epq", "sqrt-n"), "mod-poly": ("ms", "log-n"),
+    "mod-exp": ("mse", "sqrt-n"), "mod-exp2": ("mse2", "n"),
+}
 
 
 def _geometric_t(s: float) -> float:
     """The ratio t = pi/(pi - s) of the mod-exp2 weight t^(k+1), for when
     only s is known."""
     return math.pi / (math.pi - s)
+
+
+class Decay(NamedTuple):
+    """A growth law of the weights: lambda_k^(-1) <= c (1+k)^(-s) when ``s``
+    is set (the polynomial kinds), else lambda_k^(-1) = c e^(-q k^p)."""
+
+    c: float
+    s: float | None = None
+    p: float | None = None
+    q: float | None = None
 
 
 @dataclass(frozen=True)
@@ -68,15 +87,13 @@ class SpaceWeight:
         if self.kind == "exp":
             if self.p is None or self.q is None or self.p <= 0 or self.q <= 0:
                 raise ValueError("exp weights need p > 0 and q > 0")
-        else:
-            if self.s is None or self.s < 0:
-                raise ValueError(f"{self.kind} weights need s >= 0")
-            if self.kind == "mod-exp2" and self.s >= math.pi:
-                raise ValueError("mod-exp2 needs 0 <= s < pi")
-        if self.kind != "mod-exp2":
-            if self._t is not None:
-                raise ValueError(f"a ratio t applies only to mod-exp2, not {self.kind!r}")
-        elif self._t is None:
+        elif self.s is None or self.s < 0:
+            raise ValueError(f"{self.kind} weights need s >= 0")
+        elif self.kind == "mod-exp2" and self.s >= math.pi:
+            raise ValueError("mod-exp2 needs 0 <= s < pi")
+        if self.kind != "mod-exp2" and self._t is not None:
+            raise ValueError(f"a ratio t applies only to mod-exp2, not {self.kind!r}")
+        if self.kind == "mod-exp2" and self._t is None:
             object.__setattr__(self, "_t", _geometric_t(self.s))
 
     # constructors
@@ -108,30 +125,41 @@ class SpaceWeight:
         return cls("mod-exp2", s=math.pi * (1.0 - 1.0 / t), _t=float(t))
 
     @property
-    def has_decay(self) -> bool:
-        """True when lambda_k diverges, i.e. the unit ball is compact."""
-        if self.kind == "exp":
-            return True
-        return self.s > 0
+    def name(self) -> str:
+        """The report and CLI name: hs, epq, ms, mse or mse2."""
+        return _KINDS[self.kind][0]
 
-    def coefficient_equivalent(self) -> "SpaceWeight":
-        """The exp-family weight with the same growth, for the two
-        exponential modulation families; other kinds return themselves."""
-        if self.kind == "mod-exp":
-            return SpaceWeight.exponential(0.5, self.s / math.sqrt(math.pi))
+    @property
+    def axis(self) -> str:
+        """The slope-fit abscissa: n, sqrt-n or log-n."""
+        return _KINDS[self.kind][1]
+
+    @property
+    def theory_slope(self) -> float | None:
+        """Slope against ``axis`` of the decay rate t^(-2n), e^(-s sqrt(2n/pi))
+        or n^(-s); None for exp, which has no s."""
         if self.kind == "mod-exp2":
-            return SpaceWeight.exponential(1.0, math.log(self._t))
-        return self
+            return -2.0 * math.log10(self._t)
+        if self.kind == "mod-exp":
+            return -math.sqrt(2.0) * (self.s / math.sqrt(math.pi)) * math.log10(math.e)
+        return None if self.kind == "exp" else -self.s
+
+    def decay(self) -> Decay:
+        """The growth law of lambda_k, which tail bounds read.  For mod-poly
+        it is the sound lower bound mu_k >= (1+k)^s (2 pi)^-s, from the
+        digamma inequality psi(k+1) >= log(k + 1/2)."""
+        if self.kind == "exp":
+            return Decay(1.0, p=self.p, q=self.q)
+        if self.kind == "mod-exp":
+            return Decay(1.0, p=0.5, q=self.s / math.sqrt(math.pi))
+        if self.kind == "mod-exp2":  # lambda_k = t^(k+1) = t * e^(k log t)
+            return Decay(1.0 / self._t, p=1.0, q=math.log(self._t))
+        c = (2.0 * math.pi) ** self.s if self.kind == "mod-poly" else 1.0
+        return Decay(c, s=self.s)
 
     def describe(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("s", "p", "q"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        if self._t is not None:
-            out["t"] = self._t
-        return out
+        given = {"s": self.s, "p": self.p, "q": self.q, "t": self._t}
+        return {"kind": self.kind, **{k: v for k, v in given.items() if v is not None}}
 
 
 @dataclass(frozen=True)

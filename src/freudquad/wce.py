@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .errors import CapacityError, FreudQuadError
+from .errors import CapacityError, FreudQuadError, UnboundedTailError
 from .kernels import tail_index
 from .orthopoly import FreudBasis, _sweep
 from .spaces import SpaceWeight, lambda_of
@@ -300,7 +300,13 @@ def series_truncation(
             f"lambda_start = {lam_start:.3e}) underflows to 0, so the series "
             "tail bound cannot be formed"
         )
-    return tail_index(space, start, target, alpha, 1.0)
+    try:
+        return tail_index(space, start, target, alpha, 1.0)
+    except UnboundedTailError as exc:
+        raise UnboundedTailError(
+            f"the series tail from k = {start} cannot be bounded below tol = {tol:.1e} "
+            f"relative to its first retained envelope term: {exc}"
+        ) from exc
 
 
 def wce_bound(phi: float, a_n: float) -> float:

@@ -280,6 +280,28 @@ class TestWce:
         assert err.startswith("numerical failure: tol = 1.0e-20 times the first")
         assert "underflows to 0" in err
 
+    def test_unbounded_tail_names_the_given_tol(self, capsys):
+        # the bound is formed on tol times the first envelope term (3.9e-17);
+        # the message states the --trunc-tol and first mode it was given
+        code, out, err = run_cli(capsys, "wce", "--space", "epq", "--p", "0.05",
+                                 "--q", "0.5", "--n-range", "3:5:2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            "numerical failure: the series tail from k = 10 cannot be bounded "
+            "below tol = 1.0e-16"
+        )
+        assert "3.9e-17" not in err
+
+    def test_k_max_on_the_kernel_route_is_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "wce", "--space", "mse2", "--t", "1.25",
+                                 "--k-max", "20")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: --k-max does not apply to the closed-form kernel route\n"
+        )
+
     def test_first_failed_row_is_raised(self, capsys):
         code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "3",
                                  "--n-range", "0:3")

@@ -36,17 +36,17 @@ class TestFigureSpec:
         assert figure_spec("fig1b").t == pytest.approx(50.0 / 49.0)
         assert figure_spec("fig2a").space().s == 1.0
         assert figure_spec("fig2b").space().s == 0.5
-        assert figure_spec("fig3b").axis == "log-n"
+        assert figure_spec("fig3b").space().axis == "log-n"
         assert figure_spec("fig3c").space().s == pytest.approx(2.0 / 3.0)
 
     def test_route_and_axis_follow_the_space(self):
         spec = figure_spec("fig1a")
         assert spec.space() == SpaceWeight.geometric(1.25)
-        assert spec.kernel_route and spec.axis == "n"
+        assert spec.kernel_route and spec.space().axis == "n"
         at_alpha4 = figure_spec("fig1a", alpha=4.0)
-        assert not at_alpha4.kernel_route and at_alpha4.axis == "n"
+        assert not at_alpha4.kernel_route and at_alpha4.space().axis == "n"
         assert not figure_spec("fig2a").kernel_route
-        assert figure_spec("fig2a").axis == "sqrt-n"
+        assert figure_spec("fig2a").space().axis == "sqrt-n"
 
 
 # what perfbench/replay.py reads of a spec; ``space()`` is called
@@ -187,9 +187,30 @@ class TestRunFigure:
         with pytest.raises(ValueError, match=re.escape(f"first summed mode {message}")):
             run_figure(fid, n_values=n_values, k_max=k_max)
 
+    @pytest.mark.parametrize("fid", ["fig1a", "fig1b"])
+    def test_depth_on_the_kernel_route_is_rejected(self, fid):
+        # the closed-form kernel sums no series, so a depth would be
+        # recorded in the params and have no effect
+        with pytest.raises(ValueError, match="does not apply to the closed-form"):
+            run_figure(fid, n_values=(3, 5), k_max=20)
+        at_alpha4 = run_figure(fid, n_values=(3, 5), k_max=400, alpha=4.0)
+        assert at_alpha4.params["k_max"] == 400
+
+    def test_exp_weight_records_p_and_q(self):
+        params = [
+            run_figure(FigureSpec(id="x", n_values=(3, 5), space_weight=w)).params
+            for w in (SpaceWeight.exponential(1.0, 1.0), SpaceWeight.exponential(0.5, 2.0))
+        ]
+        assert [(d["space"], d["p"], d["q"]) for d in params] == [
+            ("epq", 1.0, 1.0), ("epq", 0.5, 2.0)
+        ]
+        assert "s" not in params[0] and "t" not in params[0]
+
     @pytest.mark.parametrize("fid", FIGURE_IDS)
     def test_space_is_labelled_by_its_cli_name(self, fid):
-        table = run_figure(fid, n_values=(3, 5), k_max=400)
+        # a fixed depth applies to the series route only
+        depth = {} if figure_spec(fid).kernel_route else {"k_max": 400}
+        table = run_figure(fid, n_values=(3, 5), **depth)
         assert _SPACE_KINDS[table.params["space"]] == figure_spec(fid).space().kind
 
     def test_exp_weight_has_no_theory_slope(self, capsys):

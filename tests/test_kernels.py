@@ -97,6 +97,44 @@ class TestTailIndex:
         K = tail_index(SpaceWeight.polynomial(3.0), 0, 1e-12, 2.0, 4.0)
         assert 0 < K < 50_000_000
 
+    @pytest.mark.parametrize(
+        "space, tol, alpha, sup_const, K",
+        [
+            # measured when tail_index still switched on the kind
+            (SpaceWeight.polynomial(3.0), 1e-8, 2.0, 1.0, 3447),
+            (SpaceWeight.polynomial(2.5), 1e-8, 4.0, 4.43, 992126),
+            (SpaceWeight.mod_poly(3.0), 1e-8, 2.0, 1.0, 43904),
+            (SpaceWeight.mod_poly(2.5), 1e-8, 4.0, 4.43, 25416710),
+            (SpaceWeight.exponential(1.0, 1.0), 1e-30, 2.0, 1.0, 69),
+            (SpaceWeight.exponential(0.5, 2.0), 1e-30, 4.0, 4.43, 1400),
+            (SpaceWeight.mod_exp(1.0), 1e-16, 2.0, 1.0, 5276),
+            (SpaceWeight.mod_exp(0.5), 1e-30, 4.0, 4.43, 78656),
+            (SpaceWeight.geometric(1.25), 1e-16, 2.0, 1.0, 167),
+            (SpaceWeight.mod_exp2(0.6), 1e-30, 4.0, 4.43, 342),
+        ],
+    )
+    def test_pinned_indices(self, space, tol, alpha, sup_const, K):
+        assert tail_index(space, 10, tol, alpha, sup_const) == K
+        assert tail_index(space, 100, tol, alpha, sup_const) == max(K, 99)
+
+    def test_overflowing_polynomial_index_is_unbounded(self):
+        # (1/tol)^(1/(beta - 1)) is beyond the float range at tol = 1e-310
+        with pytest.raises(UnboundedTailError, match="K ~ inf"):
+            tail_index(SpaceWeight.polynomial(3.0), 10, 1e-310, 2.0, 1.0)
+
+    def test_overflowing_exponential_bound_is_unbounded(self):
+        # q^(-(g+1)/p) is beyond the float range for q = 1e-30, p = 0.05
+        with pytest.raises(UnboundedTailError, match="more than the cap"):
+            tail_index(SpaceWeight.exponential(0.05, 1e-30), 10, 1e-16, 2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "space", [SpaceWeight.mod_exp(1.0), SpaceWeight.polynomial(3.0)]
+    )
+    def test_nan_tol_is_rejected(self, space):
+        # a NaN tol once read as "the whole tail is below tol" (start - 1)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            tail_index(space, 10, math.nan, 2.0, 1.0)
+
     def test_whole_tail_negligible_returns_start_minus_one(self, basis2):
         space = SpaceWeight.geometric(1.25)
         sup = sup_envelope_constant(basis2)

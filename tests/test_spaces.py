@@ -16,7 +16,7 @@ from freudquad import (
     radial_moment,
     stft_grid_norm_sq,
 )
-from freudquad.spaces import _radial_moment_cached
+from freudquad.spaces import Decay, _radial_moment_cached
 
 PI = math.pi
 
@@ -73,22 +73,26 @@ class TestSpaceWeight:
             SpaceWeight("bogus", s=1.0)
 
     def test_has_decay(self):
-        assert not SpaceWeight.polynomial(0.0).has_decay
-        assert SpaceWeight.polynomial(0.5).has_decay
-        assert SpaceWeight.exponential(1.0, 0.1).has_decay
+        # the growth rate of the law is 0 exactly when lambda_k stays bounded
+        assert SpaceWeight.polynomial(0.0).decay() == Decay(1.0, s=0.0)
+        assert SpaceWeight.polynomial(0.5).decay().s == 0.5
+        assert SpaceWeight.exponential(1.0, 0.1).decay().q == 0.1
+        assert SpaceWeight.mod_exp(0.0).decay().q == 0.0
+        assert SpaceWeight.mod_exp2(0.0).decay().q == 0.0
 
     def test_coefficient_equivalents(self):
-        mse = SpaceWeight.mod_exp(1.0).coefficient_equivalent()
-        assert (mse.kind, mse.p) == ("exp", 0.5)
+        mse = SpaceWeight.mod_exp(1.0).decay()
+        assert (mse.c, mse.s, mse.p) == (1.0, None, 0.5)
         assert mse.q == pytest.approx(1.0 / math.sqrt(PI), rel=1e-15)
         s = PI * (1.0 - 0.8)
-        mse2 = SpaceWeight.mod_exp2(s).coefficient_equivalent()
-        assert (mse2.kind, mse2.p) == ("exp", 1.0)
+        mse2 = SpaceWeight.mod_exp2(s).decay()
+        assert (mse2.s, mse2.p) == (None, 1.0)
         assert mse2.q == pytest.approx(math.log(1.25), rel=1e-13)
-        # equivalents reproduce the weight up to the geometric prefactor
+        assert mse2.c == pytest.approx(0.8, rel=1e-13)
+        # the law reproduces the weight, geometric prefactor included
         k = np.arange(12)
         direct = lambda_of(SpaceWeight.mod_exp2(s), k)
-        mapped = 1.25 * lambda_of(mse2, k)
+        mapped = np.exp(mse2.q * k) / mse2.c
         assert np.max(np.abs(direct - mapped) / direct) < 1e-12
 
 
@@ -99,7 +103,7 @@ class TestSpaceWeight:
         given = SpaceWeight("mod-exp2", s=s, _t=3.0)
         k = np.arange(6)
         assert np.array_equal(lambda_of(given, k), np.exp((k + 1.0) * math.log(3.0)))
-        assert given.coefficient_equivalent().q == math.log(3.0)
+        assert given.decay() == Decay(1.0 / 3.0, p=1.0, q=math.log(3.0))
         assert given.describe() == {"kind": "mod-exp2", "s": s, "t": 3.0}
         assert SpaceWeight.mod_exp2(s)._t == PI / (PI - s) != 3.0
         assert SpaceWeight.geometric(3) == given
@@ -110,6 +114,69 @@ class TestSpaceWeight:
     def test_geometric_needs_t_above_one(self, t):
         with pytest.raises(ValueError, match="needs t > 1"):
             SpaceWeight.geometric(t)
+
+
+_LOG10_E = math.log10(math.e)
+
+
+class TestKindAccessors:
+    """What each kind means, given by the weight: the report name, the fit
+    axis, the theory slope and the growth law the tail bounds read."""
+
+    @pytest.mark.parametrize(
+        "space, name, axis, slope",
+        [
+            (SpaceWeight.polynomial(2.0 / 3.0), "hs", "log-n", -2.0 / 3.0),
+            (SpaceWeight.exponential(0.5, 2.0), "epq", "sqrt-n", None),
+            (SpaceWeight.mod_poly(2.5), "ms", "log-n", -2.5),
+            (SpaceWeight.mod_exp(0.5), "mse", "sqrt-n",
+             -math.sqrt(2.0) * (0.5 / math.sqrt(PI)) * _LOG10_E),
+            (SpaceWeight.geometric(1.25), "mse2", "n", -2.0 * math.log10(1.25)),
+            (SpaceWeight.mod_exp2(0.6), "mse2", "n", -2.0 * math.log10(PI / (PI - 0.6))),
+        ],
+    )
+    def test_name_axis_and_theory_slope(self, space, name, axis, slope):
+        assert (space.name, space.axis, space.theory_slope) == (name, axis, slope)
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            SpaceWeight.exponential(0.5, 2.0),
+            SpaceWeight.exponential(1.0, 0.3),
+            SpaceWeight.mod_exp(1.0),
+            SpaceWeight.mod_exp(0.5),
+            SpaceWeight.geometric(1.25),
+            SpaceWeight.mod_exp2(0.6),
+        ],
+    )
+    def test_decay_is_the_exponential_weight(self, space):
+        law = space.decay()
+        assert law.s is None
+        k = np.arange(2001)
+        from_law = law.c * np.exp(-law.q * k.astype(float) ** law.p)
+        direct = 1.0 / lambda_of(space, k)
+        assert np.max(np.abs(from_law - direct) / direct) < 1e-12
+
+    @pytest.mark.parametrize(
+        "space, k",
+        [
+            (SpaceWeight.polynomial(0.0), np.arange(2001)),
+            (SpaceWeight.polynomial(2.0 / 3.0), np.arange(2001)),
+            (SpaceWeight.mod_poly(0.0), np.arange(2001)),
+            (SpaceWeight.mod_poly(2.0), np.arange(2001)),
+            (SpaceWeight.mod_poly(3.0), np.arange(2001)),
+            # non-integer s: one quadrature per moment, so fewer k
+            (SpaceWeight.mod_poly(2.5), np.r_[0:40, 100:2001:150]),
+        ],
+    )
+    def test_decay_bounds_the_polynomial_weight(self, space, k):
+        law = space.decay()
+        assert (law.s, law.p, law.q) == (space.s, None, None)
+        bound = law.c * (1.0 + k) ** -law.s
+        direct = 1.0 / lambda_of(space, k)
+        assert np.all(direct <= bound * (1.0 + 1e-14))
+        if space.kind == "poly":
+            assert np.max(np.abs(bound - direct) / direct) < 1e-14
 
 
 class TestCoeffNorm:

@@ -11,6 +11,7 @@ from freudquad import (
     ConvergenceError,
     FreudQuadError,
     SpaceWeight,
+    UnboundedTailError,
     WCETable,
     basis_matrix,
     build_basis,
@@ -320,6 +321,24 @@ class TestSeriesTruncation:
         for tol in (0.0, -1e-16, float("nan")):
             with pytest.raises(ValueError, match="tol must be > 0"):
                 series_truncation(space, 10, tol, 2.0)
+
+    def test_unbounded_tail_names_the_callers_tol_and_start(self):
+        # the internal target is tol times the first envelope term (here
+        # 3.9e-17); the error names the tol and start it was given
+        space = SpaceWeight.exponential(0.05, 0.5)
+        with pytest.raises(UnboundedTailError) as exc:
+            series_truncation(space, 10, 1e-16, 2.0)
+        message = str(exc.value)
+        assert "from k = 10" in message and "tol = 1.0e-16" in message
+        assert "3.9e-17" not in message
+
+    @pytest.mark.parametrize(
+        "space", [SpaceWeight.polynomial(3.0), SpaceWeight.exponential(0.05, 1e-30)]
+    )
+    def test_overflowing_tail_bound_is_unbounded(self, space):
+        # (1/tol)^(1/(beta - 1)) and q^(-(g+1)/p) both leave the float range
+        with pytest.raises(UnboundedTailError, match="from k = 10"):
+            series_truncation(space, 10, 1e-310, 2.0)
 
     def test_underflowing_target_is_a_typed_failure(self):
         # lambda_84 ~ e^705.6: 1e-16 times the first envelope term is a
