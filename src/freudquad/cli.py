@@ -270,7 +270,7 @@ def _cmd_check(args) -> int:
     kernel = wce_me2(rule.nodes, rule.omega, t)
     series = wce_series(rule.nodes, rule.omega, basis, SpaceWeight.geometric(t), 42)
     rel = abs(series - kernel) / kernel
-    report("kernel-vs-series n=21 t=5/4", rel < 1e-10, f"relative difference {rel:.3e}")
+    report("kernel-vs-series n=21 t=5/4", rel < 1e-13, f"relative difference {rel:.3e}")
 
     return 2 if failures else 0
 

@@ -9,11 +9,14 @@ space:
   per-mode quadrature errors e_k, the same quantity written mode by mode
   and manifestly nonnegative.
 
-The kernel route subtracts two nearly equal quantities (the double sum
-cancels to ~1e-19 absolute for the deep-decay cases), so it is evaluated
-in 40-digit arithmetic: one ``mp.exp`` per node pair, about m^2/2 for m
-nodes, and about m^2/4 on a rule whose nodes and weights are mirrored about
-0 (every Gauss rule), where each mirrored pair's term is reused.
+The kernel route subtracts nearly equal quantities (about 15 of 40
+digits cancel at n = 41, t = 5/4, and up to 35 at t = 5), so it is evaluated in
+mpmath at 40 digits and again at more wherever fewer than 24 are left.
+The Mehler kernel factors into one Gaussian per node and one
+exponential e^{beta x y} per node pair: about m^2/2 ``mp.exp`` calls for m
+nodes, and about m^2/8 on a rule whose nodes and weights are mirrored
+about 0 (every Gauss rule), where the four sign pairs of two nodes share
+one exponential.
 
 The series route adds its terms exactly and rounds the sum once
 (``_exact_sum``): each term's integer mantissa is cut into limbs, the limbs
@@ -47,7 +50,8 @@ __all__ = [
     "slope_fit",
 ]
 
-_ME2_DPS = 40
+_ME2_DPS = 40  # first pass; see wce_me2 for the recompute rule
+_ME2_DIGITS_LEFT = 24
 
 _AXIS_MAPS = {
     "n": lambda n: np.asarray(n, dtype=float),
@@ -70,13 +74,26 @@ def wce_me2(nodes, omega, t: float) -> float:
     the computed cross term removes first-order sensitivity to the
     rule's own exactness residual.
 
-    The double sum costs one 40-digit ``mp.exp`` per pair i <= j.  When the
-    input is mirrored bit for bit (nodes == -nodes[::-1] and omega ==
-    omega[::-1], as ``gauss_rule`` makes every rule) the term of pair
-    (i, j) is bit-identical to that of (m-1-j, m-1-i), so it is taken from
-    the earlier row instead: m = 41 needs 441 kernel exponentials instead
-    of 861.  Any other input takes the general path; the terms and their
-    order are the same either way, so the result is too.
+    The Mehler kernel factors as K_t(x,y) = pref g(x) g(y) e^{beta x y},
+    with c = pi/(t^2-1), beta = 4tc and g(x) = e^{-c(t^2+1) x^2}, so each
+    node is weighted once, u = omega g(x), and a pair (i, j) costs one
+    exponential e^{beta x_i x_j}: m + m(m+1)/2 + m ``mp.exp`` calls for
+    the weights, the pairs i <= j and the cross sum.  When the input is
+    mirrored bit for bit (nodes == -nodes[::-1] and omega == omega[::-1],
+    as ``gauss_rule`` makes every rule) the sums run over one node of each
+    of the h = m // 2 mirrored pairs: the four sign pairs (+-x_a, +-x_b)
+    share u_a u_b (e + 1/e) with e = e^{beta x_a x_b}, and a node at 0
+    adds u_0^2 + 4 u_0 sum_a u_a to the double sum and omega_0 to the
+    cross sum.  That is h + h(h+1)/2 + h exponentials: m = 41 takes
+    20 + 210 + 20 = 250, against 41 + 861 + 41 on the general path.
+
+    The sum cancels to far below its terms when the rule is accurate (by
+    about 15 digits at n = 41, t = 5/4, and by up to 35 at t = 5), so it is
+    evaluated in 40-digit arithmetic and then checked: with L the digits
+    lost, log10 of the summed magnitudes of the three parts over |value|
+    (or the working digits when the value is not positive), fewer than 24
+    digits left means a new pass at max(ceil(L) + 30, 2 dps) digits, until
+    24 are left.
     """
     if t <= 1:
         raise ValueError(f"kernel parameter must exceed 1, got t={t}")
@@ -88,38 +105,56 @@ def wce_me2(nodes, omega, t: float) -> float:
             stacklevel=2,
         )
         return float(1.0 / (math.sqrt(2.0) * t))
-    # a mirrored pair's term is bit-identical: t, x and omega are float64,
-    # so at 40 digits x^2 and w_i w_j are exact and 4t x_i x_j is one
-    # rounding of a value symmetric in the pair and its signs
     m = nodes.size
     mirrored = np.array_equal(nodes, -nodes[::-1]) and np.array_equal(omega, omega[::-1])
-    with mp.workdps(_ME2_DPS):
-        tm = mp.mpf(t)
-        pref = mp.sqrt(2 / (tm * tm - 1))
-        c = mp.pi / (tm * tm - 1)
-        c_diag = c * (4 * tm - 2 * (tm * tm + 1))
-        t4, t2p1 = 4 * tm, tm * tm + 1
-        xs = [mp.mpf(float(v)) for v in nodes]
-        ws = [mp.mpf(float(v)) for v in omega]
-        sq = [x * x for x in xs]
-        terms, row_start = [], []
-        for i in range(m):
-            row_start.append(len(terms))
-            xi, wi = xs[i], ws[i]
-            # columns j >= fresh repeat the term of an earlier row
-            fresh = m - i if mirrored else m
-            if i < fresh:
-                terms.append(wi * wi * pref * mp.exp(c_diag * xi * xi))
-            t4xi, wi2, sqi = t4 * xi, 2 * wi, sq[i]
-            for j in range(i + 1, fresh):
-                kv = pref * mp.exp(c * (t4xi * xs[j] - t2p1 * (sqi + sq[j])))
-                terms.append(wi2 * ws[j] * kv)
-            for j in range(max(i, fresh), m):
-                terms.append(terms[row_start[m - 1 - j] + j - i])
-        double_sum = mp.fsum(terms)
-        cross = mp.fsum(w * mp.exp(-mp.pi * x * x) for w, x in zip(ws, xs))
-        val = 1 / (mp.sqrt(2) * tm) + double_sum - 2 * cross / tm
-        return float(val)
+    # a mirrored rule keeps one node of each mirrored pair; its middle node is 0
+    half = m - m // 2 if mirrored else 0
+    xs, ws = nodes[half:].tolist(), omega[half:].tolist()
+    w0 = float(omega[m // 2]) if mirrored and m % 2 else 0.0
+    dps = _ME2_DPS
+    while True:
+        with mp.workdps(dps):
+            parts = _me2_parts(xs, ws, w0, mirrored, mp.mpf(t))
+            val = mp.fsum(parts)
+            if not mp.isfinite(val):
+                return float(val)
+            lost = dps if val <= 0 else mp.log10(mp.fsum(parts, absolute=True) / val)
+            if dps - lost >= _ME2_DIGITS_LEFT:
+                return float(val)
+            dps = max(int(mp.ceil(lost)) + 30, 2 * dps)
+
+
+def _me2_parts(xs, ws, w0, mirrored: bool, t):
+    """The three parts of ``wce_me2``'s identity at the working precision.
+
+    ``xs`` and ``ws`` are every node and weight, or on a mirrored rule one
+    node of each mirrored pair, with ``w0`` the weight of the node at 0
+    (0 if there is none).
+    """
+    c = mp.pi / (t * t - 1)
+    beta, gamma = 4 * t * c, (t * t + 1) * c
+    xs = [mp.mpf(x) for x in xs]
+    cross = mp.fsum(w * mp.exp(-mp.pi * x * x) for w, x in zip(ws, xs))
+    # u = omega g(x); a node with u = 0 (zero weight, or infinitely far
+    # out) adds nothing, and dropping it keeps 0 * inf out of the sum
+    us = [w * mp.exp(-gamma * x * x) for w, x in zip(ws, xs)]
+    xu = [(x, u) for x, u in zip(xs, us) if u]
+    rows = []  # row i: u_i (u_i k_ii + 2 sum_{j > i} u_j k_ij)
+    for i, (xi, ui) in enumerate(xu):
+        bxi, row = beta * xi, []
+        for xj, uj in xu[i:]:
+            e = mp.exp(bxi * xj)
+            if mirrored:
+                e += 1 / e  # k = e^{beta x_i x_j} + e^{-beta x_i x_j}
+            row.append(uj * e)
+        rows.append(ui * (row[0] + 2 * mp.fsum(row[1:])))
+    double_sum = mp.fsum(rows)
+    if mirrored:
+        # each pair of the half stands for its four sign pairs
+        double_sum = 2 * double_sum + w0 * (w0 + 4 * mp.fsum(u for _, u in xu))
+        cross = 2 * cross + w0
+    pref = mp.sqrt(2 / (t * t - 1))
+    return [1 / (mp.sqrt(2) * t), pref * double_sum, -2 * cross / t]
 
 
 def wce_series(

@@ -29,9 +29,10 @@ from freudquad.experiments import _shifted_rule
 from freudquad.wce import _exact_sum, _wce_series_rows, series_truncation
 
 
-def me2_reference(nodes, omega, t):
-    """wce_me2 written out pair by pair: every term computed in place."""
-    with mp.workdps(40):
+def me2_reference(nodes, omega, t, dps=40):
+    """wce_me2 written out pair by pair, at ``dps`` digits: every term of the
+    unfactored kernel computed in place."""
+    with mp.workdps(dps):
         tm = mp.mpf(t)
         pref = mp.sqrt(2 / (tm * tm - 1))
         c = mp.pi / (tm * tm - 1)
@@ -109,10 +110,16 @@ class TestWceMe2:
         assert slope <= -2.0 * math.log10(1.25) + 0.02
 
 
-class TestWceMe2Terms:
-    """wce_me2 reuses mirrored terms and hoists invariants without moving a bit."""
+def assert_within_one_ulp(value, oracle, label):
+    assert abs(value - oracle) <= math.ulp(oracle), (label, value, oracle)
 
-    @pytest.mark.parametrize("t", [1.25, 50.0 / 49.0, 3.0])
+
+class TestWceMe2Terms:
+    """wce_me2 factors the kernel and pairs mirrored nodes; the 40-digit
+    values are those of the unfactored sum, and deep cancellation gets more
+    digits."""
+
+    @pytest.mark.parametrize("t", [1.25, 50.0 / 49.0])
     def test_gauss_rules_match_reference(self, basis2, t):
         for n in range(1, 42):
             rule = gauss_rule(basis2, n)
@@ -120,12 +127,28 @@ class TestWceMe2Terms:
                 rule.nodes, rule.omega, t
             ), n
 
+    @pytest.mark.parametrize("t", [2.0, 3.0, 5.0])
+    def test_gauss_rules_match_oracle(self, basis2, t):
+        # up to 35 of the 40 digits cancel at these t, so from n = 9..17 on
+        # the value comes from a second pass at 80 digits; the oracle is the
+        # unfactored sum at 120 digits
+        for n in range(1, 42):
+            rule = gauss_rule(basis2, n)
+            assert_within_one_ulp(
+                wce_me2(rule.nodes, rule.omega, t),
+                me2_reference(rule.nodes, rule.omega, t, dps=120),
+                n,
+            )
+
     @pytest.mark.parametrize("n", [3, 8, 21])
     def test_shifted_rules_match_reference(self, basis2, n):
         nodes, omega, _ = _shifted_rule(basis2, n, 0.1, "positive", 7)
         assert not np.array_equal(nodes, -nodes[::-1])
-        for t in (1.25, 50.0 / 49.0, 3.0):
+        for t in (1.25, 50.0 / 49.0):
             assert wce_me2(nodes, omega, t) == me2_reference(nodes, omega, t)
+        assert_within_one_ulp(
+            wce_me2(nodes, omega, 3.0), me2_reference(nodes, omega, 3.0, dps=120), n
+        )
 
     def test_one_ulp_off_mirror_takes_general_path(self, basis2, monkeypatch):
         rule = gauss_rule(basis2, 9)
@@ -134,15 +157,35 @@ class TestWceMe2Terms:
         expected = me2_reference(rule.nodes, omega, 1.25)
         calls = count_exp(monkeypatch)
         assert wce_me2(rule.nodes, omega, 1.25) == expected
-        assert calls[0] == 9 * 10 // 2 + 9  # every pair i <= j, then the cross sum
+        # one Gaussian per node, every pair i <= j, then the cross sum
+        assert calls[0] == 9 + 9 * 10 // 2 + 9
 
     def test_mirrored_rule_computes_each_term_once(self, basis2, monkeypatch):
-        # 861 pairs i <= j on 41 nodes: 21 are their own mirror image, the
-        # other 840 form 420 mirrored couples; plus 41 for the cross sum
+        # 41 nodes are 20 mirrored pairs and a node at 0 (which needs no
+        # exponential): one Gaussian per pair, one e^(beta x y) for each of
+        # the 210 pairs of pairs a <= b, 20 for the cross sum; one pass
         rule = gauss_rule(basis2, 41)
         calls = count_exp(monkeypatch)
         wce_me2(rule.nodes, rule.omega, 1.25)
-        assert calls[0] == 21 + 420 + 41
+        assert calls[0] == 20 + 210 + 20
+
+    def test_deep_cancellation_takes_another_pass(self, basis2, monkeypatch):
+        # at t = 5 about 35 of 40 digits cancel on n = 41: the second pass
+        # runs at 80 digits and repeats every exponential once
+        rule = gauss_rule(basis2, 41)
+        calls = count_exp(monkeypatch)
+        wce_me2(rule.nodes, rule.omega, 5.0)
+        assert calls[0] == 2 * (20 + 210 + 20)
+
+    def test_nodes_without_weight_add_nothing(self):
+        # u = omega g(x) is 0 at an infinite node or a zero weight, and
+        # such a node drops out instead of making 0 * inf
+        t, zero_rule = 1.25, 1.0 / (math.sqrt(2.0) * 1.25)
+        assert wce_me2(np.array([-np.inf, np.inf]), np.ones(2), t) == pytest.approx(
+            zero_rule, rel=1e-15
+        )
+        rule = (np.array([-0.5, 0.25, 3.0]), np.array([0.3, 0.0, 0.4]))
+        assert wce_me2(*rule, t) == wce_me2(rule[0][::2], rule[1][::2], t)
 
 
 class TestWceSeries:
