@@ -145,6 +145,13 @@ def _emit_table(table: WCETable, args, stem: str) -> None:
     print(f"{stem}: slope={_fmt_slope(table.slope)} -> {out / (stem + '.csv')}")
 
 
+def _check_trunc_tol(args, spec) -> None:
+    """Reject an explicit ``--trunc-tol`` on the kernel route, which sums no
+    series and so has nothing to truncate."""
+    if "trunc_tol" in getattr(args, "given", ()) and spec.kernel_route:
+        raise ValueError("--trunc-tol does not apply to the closed-form kernel route")
+
+
 def _cmd_wce(args) -> int:
     ns = _parse_n_range(args.n_range)
     if args.t is not None and args.space != "mse2":
@@ -170,6 +177,7 @@ def _cmd_wce(args) -> int:
         id="wce", n_values=tuple(ns), space_weight=weight, seed=args.seed,
         trunc_tol=args.trunc_tol, k_max=args.k_max, alpha=args.alpha,
     )
+    _check_trunc_tol(args, spec)
     basis, rows, _, errors = _table_rows(spec)
     if errors:
         raise next(iter(errors.values()))  # the first row that failed
@@ -234,6 +242,7 @@ def _cmd_figure(args) -> int:
     if args.sign_mode is not None:
         overrides["sign_mode"] = args.sign_mode
     spec = figure_spec(args.id, **overrides)
+    _check_trunc_tol(args, spec)
     table = run_figure(spec)
     _emit_table(table, args, args.id)
     return 0
@@ -282,6 +291,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+class _Given(argparse.Action):
+    """Store the value and add the option's dest to ``given``, so that an
+    explicit value can be told from the default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {*getattr(namespace, "given", ()), self.dest}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="freudq",
@@ -319,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="geometric decay parameter; implies --s for mse2")
     p.add_argument("--dim", type=int, default=1,
                    help="tensor-product dimension for the reported error")
-    p.add_argument("--trunc-tol", type=float, default=1e-16)
+    p.add_argument("--trunc-tol", type=float, default=1e-16, action=_Given)
     p.add_argument("--k-max", type=int, default=None)
     p.set_defaults(func=_cmd_wce)
 
@@ -339,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", choices=FIGURE_IDS)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--n-range", default=None)
-    p.add_argument("--trunc-tol", type=float, default=None)
+    p.add_argument("--trunc-tol", type=float, default=None, action=_Given)
     p.add_argument(
         "--sign-mode", choices=("random", "alternating", "positive"), default=None
     )

@@ -6,6 +6,10 @@ polished by one Newton step on h_n.  The quadrature weight at a node is
 omega(x) = Lambda_n(x) * W(x), where Lambda_n is the reciprocal of the
 squared partial sum of the basis; tau(x) = Lambda_n(x) is kept alongside
 because it is the natural discrete weight for the sampling inequalities.
+
+Both the Newton step and tau read h_0..h_n block by block from the basis
+sweep, so an n-node rule holds about a megabyte of basis values however
+large n is, never the (n+1) x n matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapacityError, ConvergenceError, EvaluationFailure
-from .orthopoly import FreudBasis, basis_matrix, weight_value
+from .orthopoly import FreudBasis, _sweep, weight_value
 
 __all__ = ["QuadratureRule", "gauss_rule", "integrate"]
 
@@ -39,20 +43,23 @@ class QuadratureRule:
 
 
 def _newton_polish(basis: FreudBasis, n: int, x: np.ndarray) -> np.ndarray:
-    """One Newton step on h_n, with h_0..h_n from ``basis_matrix`` and h'
+    """One Newton step on h_n, with h_0..h_n streamed from ``_sweep`` and h'
     from the differentiated recurrence
     h'_{k+1} = (h_k + x h'_k - a_k h'_{k-1}) / a_{k+1}."""
     a = basis.coeffs
-    H = basis_matrix(basis, x, n)
     # W'(x) = -pi*alpha*|x|^(alpha-1)*sign(x) * W(x); continuous for alpha > 1
     dlogW = -math.pi * basis.alpha * np.abs(x) ** (basis.alpha - 1.0) * np.sign(x)
-    d_prev, d_cur = np.zeros_like(x), H[0] * dlogW
-    for k in range(n):
-        am = a[k - 1] if k >= 1 else 0.0
-        d_prev, d_cur = d_cur, (H[k] + x * d_cur - am * d_prev) / a[k]
+    d_prev = np.zeros_like(x)
+    for k0, H in _sweep(basis, x, n):
+        for k, h in enumerate(H, k0):
+            if k == 0:
+                d_cur = h * dlogW
+            if k < n:
+                am = a[k - 1] if k >= 1 else 0.0
+                d_prev, d_cur = d_cur, (h + x * d_cur - am * d_prev) / a[k]
     safe = np.abs(d_cur) > 0
     step = np.zeros_like(x)
-    step[safe] = H[n][safe] / d_cur[safe]
+    step[safe] = h[safe] / d_cur[safe]  # h = h_n, the last row swept
     return x - step
 
 
@@ -78,8 +85,14 @@ def gauss_rule(basis: FreudBasis, n: int) -> QuadratureRule:
         nodes = _newton_polish(basis, n, nodes)
         # even weight => spectrum is symmetric; enforce it exactly
         nodes = 0.5 * (nodes - nodes[::-1])
-    H = basis_matrix(basis, nodes, n)
-    tau = 1.0 / np.sum(H * H, axis=0)  # h_n vanishes at its zeros
+    # tau = 1 / sum_k h_k^2 over k <= n (h_n vanishes at its zeros), added
+    # row by row in k order, the order of np.sum(H * H, axis=0)
+    norm_sq = np.zeros_like(nodes)
+    for _, H in _sweep(basis, nodes, n):
+        H *= H
+        for h_sq in H:
+            norm_sq += h_sq
+    tau = 1.0 / norm_sq
     omega = tau * weight_value(basis.alpha, nodes)
     return QuadratureRule(basis.alpha, n, nodes, omega, tau)
 

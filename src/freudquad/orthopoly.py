@@ -14,6 +14,11 @@ alpha is an even integer, |x|^alpha has a kink at 0, and the panels next
 to it are graded dyadically towards 0 so that the quadrature still
 converges fast.  The normalization c0 has a closed form for every alpha
 (2**0.25 at alpha = 2).
+
+The recurrence runs in one place, ``_sweep``, which yields the values in
+blocks of a bounded number of bytes; the Gram check of a built basis sums
+over point chunks bounded in bytes too, so neither holds a matrix of every
+mode at every point.
 """
 
 from __future__ import annotations
@@ -166,7 +171,7 @@ def _stieltjes_pass(alpha: float, n_max: int, x, w):
     return c0, a
 
 
-_GRAM_CHUNK = 4096  # grid points per Gram update in _verify_orthonormality
+_GRAM_BYTES = 8 << 20  # basis values per Gram update in _verify_orthonormality
 
 
 def _verify_orthonormality(basis: FreudBasis, x, w, tol: float) -> float:
@@ -184,11 +189,12 @@ def _verify_orthonormality(basis: FreudBasis, x, w, tol: float) -> float:
     is therefore exactly zero, whatever the coefficients, and the others are
     sums over the positive half with the two weights combined.  So the full
     (n+1)^2 Gram matrix is checked as its even-even and odd-odd blocks, each
-    accumulated over chunks of ``_GRAM_CHUNK`` positive points as
-    (sqrt(w) H)(sqrt(w) H)^T on the strided rows H[0::2] and H[1::2], which
-    numpy sends to syrk without a copy.  At most one chunk of basis columns
-    is held.  The combined root weight is hypot(sqrt(w(x)), sqrt(w(-x))), so
-    a negative or NaN weight on either half gives a NaN defect, which fails
+    accumulated over chunks of positive points as (sqrt(w) H)(sqrt(w) H)^T
+    on the strided rows H[0::2] and H[1::2], which numpy sends to syrk
+    without a copy.  A chunk holds at most ``_GRAM_BYTES`` of basis values
+    (about 1 300 points at n = 800), and only one chunk is held at a time.
+    The combined root weight is hypot(sqrt(w(x)), sqrt(w(-x))), so a
+    negative or NaN weight on either half gives a NaN defect, which fails
     the check.  Where h_0 = c0 * W underflows to 0 the recurrence makes every
     h_k exactly 0 too, so those points add nothing to the Gram matrix and
     are left out of it; only their weights are still checked for NaN.
@@ -206,11 +212,12 @@ def _verify_orthonormality(basis: FreudBasis, x, w, tol: float) -> float:
     dead_w = root_w[~live]
     xp, root_w = xp[live], root_w[live]
     n = basis.n_max
+    chunk = max(1, _GRAM_BYTES // (8 * (n + 1)))
     Ge = np.zeros((n // 2 + 1, n // 2 + 1))  # h_0, h_2, ...
     Go = np.zeros(((n + 1) // 2, (n + 1) // 2))  # h_1, h_3, ...
-    for i in range(0, xp.size, _GRAM_CHUNK):
-        H = basis_matrix(basis, xp[i:i + _GRAM_CHUNK], n)
-        H *= root_w[i:i + _GRAM_CHUNK]
+    for i in range(0, xp.size, chunk):
+        H = basis_matrix(basis, xp[i:i + chunk], n)
+        H *= root_w[i:i + chunk]
         He, Ho = H[0::2], H[1::2]
         Ge += He @ He.T
         Go += Ho @ Ho.T
@@ -271,13 +278,20 @@ def build_basis(alpha: float, n_max: int) -> FreudBasis:
     )
 
 
-def _sweep(basis: FreudBasis, x, stop: int, block: int = 1024):
+_SWEEP_BYTES = 1 << 20  # basis values per default _sweep block
+
+
+def _sweep(basis: FreudBasis, x, stop: int, block: int | None = None):
     """Yield ``(k0, H)`` blocks covering h_0(x) .. h_stop(x) in order.
 
     The one evaluation of the three-term recurrence on the weighted
     functions, run once from h_0 = c0 * W(x) for an array ``x`` of any
     shape with at least one axis.  ``H`` has shape ``(b, *x.shape)`` with
-    ``H[j] = h_{k0+j}(x)`` and ``b <= block``; every block is a fresh array.
+    ``H[j] = h_{k0+j}(x)`` and ``b <= block``; every block is a fresh array
+    that the caller may keep or overwrite.
+    By default a block holds at most ``_SWEEP_BYTES`` of values (about 1 000
+    modes on 130 nodes, 130 modes on 1 000), so a consumer that reads the
+    blocks as they come holds no (stop+1) x x.size matrix.
 
     Each step h_{k+1} = (x h_k - a_k h_{k-1}) / a_{k+1} runs as the four
     elementwise operations of that expression, in its order, written into
@@ -289,25 +303,31 @@ def _sweep(basis: FreudBasis, x, stop: int, block: int = 1024):
             required=stop,
         )
     x = np.asarray(x, dtype=float)
+    if block is None:
+        block = max(1, _SWEEP_BYTES // (8 * max(x.size, 1)))
+    a = np.concatenate(([0.0, 0.0], basis.coeffs[:stop]))  # a[k + 1] = a_k
     # on a few hundred nodes the cost is the per-call overhead: np.float64
     # coefficients are not converted on every call, and the ufuncs are local
-    a = list(np.concatenate(([0.0], basis.coeffs[:stop])))  # a[k] = a_k, a_0 = 0
     mul, sub, div = np.multiply, np.subtract, np.divide
     h_prev = np.zeros(x.shape)  # h_{-1}
     t = np.empty(x.shape)
     for k0 in range(0, stop + 1, block):
         H = np.empty((min(block, stop + 1 - k0), *x.shape))
-        for k, h in zip(range(k0, stop + 1), H):
+        ak = list(a[k0:k0 + len(H) + 1])  # a_{k-1}, a_k at ak[j], ak[j+1], k = k0+j
+        for k, h, a_prev, a_cur in zip(range(k0, stop + 1), H, ak, ak[1:]):
             if k == 0:
                 h[...] = basis.c0 * np.exp(-math.pi * np.abs(x) ** basis.alpha)
             else:
                 mul(x, h_cur, h)
-                mul(a[k - 1], h_prev, t)
+                mul(a_prev, h_prev, t)
                 sub(h, t, h)
-                div(h, a[k], h)
+                div(h, a_cur, h)
                 h_prev = h_cur
             h_cur = h
+        # the next block recurs on copies, so the caller may overwrite H
+        h_prev, h_cur = h_prev.copy(), h_cur.copy()
         yield k0, H
+        del H, h  # a caller done with the block frees it before the next
 
 
 def basis_matrix(basis: FreudBasis, x, n: int) -> np.ndarray:

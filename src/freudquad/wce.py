@@ -19,10 +19,12 @@ about 0 (every Gauss rule), where the four sign pairs of two nodes share
 one exponential.
 
 The series route adds its terms exactly and rounds the sum once
-(``_exact_sum``): each term's integer mantissa is cut into limbs, the limbs
-are summed per binary exponent with ``np.bincount``, and the bins are
-combined into one Python int.  The result is correctly rounded, so it is
-bit-identical to ``math.fsum`` of the same terms, in any order.
+(``_ExactSums``): each term's integer mantissa is cut into limbs, the limbs
+are summed per row and binary exponent with ``np.bincount``, and the bins
+are added into one Python int per row.  The result is correctly rounded, so
+it is bit-identical to ``math.fsum`` of the same terms, in any order.  The
+terms are folded in as the basis sweep streams them, about 2**16 at a time,
+so no row holds all its terms.
 """
 
 from __future__ import annotations
@@ -199,15 +201,19 @@ def _wce_series_rows(
     bit-identical to a ``wce_series`` call.  The truncation index is
     computed once per distinct ``start``, and the weights lambda_k once
     over the union of the rows' index ranges.  A row's terms
-    lambda_k^{-1} e_k^2 are summed exactly and rounded once by
-    ``_exact_sum``, so the value does not depend on their order.  Returns one
+    lambda_k^{-1} e_k^2 are summed exactly and rounded once
+    (``_ExactSums``), so the value does not depend on their order: each
+    block's terms are formed as the block arrives, and whenever about
+    ``_FOLD_TERMS`` terms of all rows are held they are folded into one
+    exact integer per row, so the memory held does not grow with the
+    truncation index or the number of rows.  Returns one
     entry per row: the value, or the ``ValueError``/``FreudQuadError`` that
     row raised (bad input, truncation, capacity, or the shared lambda_k
     evaluation), which fails that row alone.
     """
     results: list = [None] * len(rows)
     truncation = {}  # start -> K, one series_truncation per distinct start
-    live = []  # (slot, omega, start, K, column offset, squared errors)
+    live = []  # (slot, omega, start, K, column offset)
     xs = []
     offset = 0
     for slot, (nodes, omega, start) in enumerate(rows):
@@ -235,7 +241,7 @@ def _wce_series_rows(
         except (ValueError, FreudQuadError) as exc:
             results[slot] = exc
             continue
-        live.append((slot, omega, start, K, offset, []))
+        live.append((slot, omega, start, K, offset))
         xs.append(nodes)
         offset += nodes.size
     if not live:
@@ -248,63 +254,123 @@ def _wce_series_rows(
         for row in live:
             results[row[0]] = exc
         return results
+    sums = _ExactSums(len(live))
+    held, held_terms = [], 0  # (row, terms) not yet folded into sums
     for k0, H in _sweep(basis, np.concatenate(xs), k_hi):
-        for _, omega, start, K, off, sq in live:
+        for row, (_, omega, start, K, off) in enumerate(live):
             lo, hi = max(start - k0, 0), min(K + 1 - k0, len(H))
             if lo >= hi:
                 continue
             e = np.vecdot(H[lo:hi, off:off + omega.size], omega)
             if k0 == start == 0:
                 e[0] -= 1.0 / basis.c0  # integral of h_0 W; zero for k >= 1
-            sq.append(e * e)
-    for slot, _, start, K, _, sq in live:
-        results[slot] = _exact_sum(np.concatenate(sq) / lam[start - k_lo:K + 1 - k_lo])
+            e *= e
+            e /= lam[k0 + lo - k_lo:k0 + hi - k_lo]
+            held.append((row, e))
+            held_terms += e.size
+        del H  # freed before the sweep fills its next block
+        if held_terms >= _FOLD_TERMS:
+            sums.fold(held)
+            held_terms = 0
+    sums.fold(held)
+    for row, (slot, *_) in enumerate(live):
+        results[slot] = sums.rounded(row)
     return results
 
 
-_LIMB_BITS = 18  # three limbs cover a 53-bit mantissa; see _exact_sum
+# the 53-bit mantissa m = hi 2**35 + mid 2**17 + lo as (bit offset, width)
+_LIMBS = ((35, 18), (17, 18), (0, 17))
+_FOLD_TERMS = 1 << 16  # series terms held between folds in _wce_series_rows
+# every finite double is m * 2**(e - 53) with e >= -1073 from np.frexp,
+# so an integer multiple of 2**-_UNIT_SHIFT
+_UNIT_SHIFT = 1073 + 53
+
+
+class _ExactSums:
+    """Exact running sums of floats for a fixed number of rows.
+
+    ``fold`` adds ``(row, terms)`` pairs; ``rounded`` gives a row's sum
+    rounded once, half-even.  That is the value ``math.fsum`` returns, which
+    is correctly rounded too, computed with array operations instead of one
+    scalar at a time.  Every finite double is m * 2**(e - 53) with an integer
+    |m| < 2**53 (``np.frexp``, exact for subnormals too).  A fold cuts m into
+    limbs of 18, 18 and 17 bits (the top one signed) with float64 floor and
+    subtraction, which are exact here, and sums each limb per row and
+    exponent with one ``np.bincount`` over all rows; a bin of fewer than 2**35
+    terms sums to an integer below 2**53, so the float64 bins are exact.  The
+    nonzero bins are added into one Python int per row, N with the sum equal
+    to N * 2**-1126.  Rounding is CPython's int true division by 2**1126,
+    which is correctly rounded half-even on the normal and subnormal grids
+    alike.  An inf or NaN term makes the row's sum inf or NaN, as numpy's sum
+    gives it.
+    """
+
+    def __init__(self, rows: int):
+        self.ints = [0] * rows
+        self.special = [0.0] * rows  # the sum of a row's inf and NaN terms
+
+    def fold(self, parts: list) -> None:
+        """Add every ``(row, terms)`` pair of ``parts`` in one pass, and
+        empty ``parts`` so that the terms are freed."""
+        if not parts:
+            return
+        ids = np.array([r for r, _ in parts])
+        counts = [terms.size for _, terms in parts]
+        v = np.concatenate([terms.ravel() for _, terms in parts])
+        parts.clear()
+        if v.size == 0:
+            return
+        finite = np.isfinite(v)
+        if not finite.all():
+            row = np.repeat(ids, counts)
+            for r, x in zip(row[~finite].tolist(), v[~finite].tolist()):
+                self.special[r] += x  # inf - inf is NaN, as in numpy's sum
+            v[~finite] = 0.0  # a zero adds nothing below
+        # a fold holds a few arrays of its terms' size, so the budget bounds it
+        frac, e = np.frexp(v)
+        del v
+        e_min = int(e.min())
+        size = int(e.max()) - e_min + 1
+        key = np.repeat(ids * size - e_min, counts)  # bins keyed by row and exponent
+        key += e
+        del e
+        rows = len(self.ints)
+        # row r's terms sum exactly to sum_p bit_sums[r, p] * 2**(p + e_min - 53)
+        bit_sums = np.zeros((rows, size + 35), dtype=np.int64)
+        limb = np.empty_like(frac)
+        for at, bits in _LIMBS:
+            frac *= 2.0**bits
+            if at:
+                np.floor(frac, out=limb)
+                frac -= limb
+            else:
+                limb = frac
+            bins = np.bincount(key, weights=limb, minlength=rows * size)
+            bit_sums[:, at:at + size] += bins.reshape(rows, size).astype(np.int64)
+        nz = np.flatnonzero(bit_sums)
+        r_of, p = np.divmod(nz, size + 35)
+        ends = np.searchsorted(r_of, np.arange(1, rows + 1)).tolist()
+        vals = bit_sums.ravel()[nz].tolist()
+        shifts = (p + (e_min + _UNIT_SHIFT - 53)).tolist()
+        a = 0
+        for r, b in enumerate(ends):
+            if a < b:
+                self.ints[r] += sum(map(operator.lshift, vals[a:b], shifts[a:b]))
+            a = b
+
+    def rounded(self, row: int) -> float:
+        """The sum of ``row``'s terms so far, rounded once."""
+        if self.special[row]:  # inf or NaN
+            return self.special[row]
+        return self.ints[row] / (1 << _UNIT_SHIFT)
 
 
 def _exact_sum(v) -> float:
-    """The sum of the floats in ``v``, exact and rounded once half-even.
-
-    This is the value ``math.fsum`` returns, which is correctly rounded too,
-    computed with array operations instead of one scalar at a time.  Every
-    finite double is m * 2**(e - 53) with an integer |m| < 2**53
-    (``np.frexp``, exact for subnormals too).  m is cut into three 18-bit
-    limbs (the top one signed), and each limb is summed per exponent e with
-    ``np.bincount``; a bin of fewer than 2**35 terms sums to an integer below
-    2**53, so the float64 bins are exact.  The nonzero bins are combined into
-    one Python int N with the sum equal to N * 2**(e_min - 53), and that is
-    rounded once: by int-to-float conversion when e_min >= 53, else by
-    CPython's int true division, which is correctly rounded half-even on the
-    normal and subnormal grids alike.  An inf or NaN term makes the sum inf
-    or NaN, as numpy's sum gives it.
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size == 0:
-        return 0.0
-    if not np.isfinite(v).all():
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN
-            return float(v.sum())
-    frac, e = np.frexp(v)
-    m = (frac * 2.0**53).astype(np.int64)
-    e_min = int(e.min())
-    e -= e_min
-    mask = (1 << _LIMB_BITS) - 1
-    limbs = (m & mask, (m >> _LIMB_BITS) & mask, m >> 2 * _LIMB_BITS)
-    # the sum is exactly sum_p bit_sums[p] * 2**(p + e_min - 53)
-    size = int(e.max()) + 1
-    bit_sums = np.zeros(size + 2 * _LIMB_BITS, dtype=np.int64)
-    for j, limb in enumerate(limbs):
-        at = j * _LIMB_BITS
-        bit_sums[at:at + size] += np.bincount(e, weights=limb).astype(np.int64)
-    pos = np.flatnonzero(bit_sums)
-    total = sum(map(operator.lshift, bit_sums[pos].tolist(), pos.tolist()))
-    shift = e_min - 53
-    if shift >= 0:
-        return float(total << shift)
-    return total / (1 << -shift)
+    """The sum of the floats in ``v``, exact and rounded once half-even:
+    ``math.fsum``'s value (see ``_ExactSums``)."""
+    sums = _ExactSums(1)
+    sums.fold([(0, np.asarray(v, dtype=float))])
+    return sums.rounded(0)
 
 
 def series_truncation(

@@ -302,6 +302,23 @@ class TestWce:
             "error: --k-max does not apply to the closed-form kernel route\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ("wce", "--space", "mse2", "--t", "1.25", "--n-range", "3:7:2",
+         "--trunc-tol", "1e-3"),
+        ("wce", "--space", "mse2", "--t", "1.25", "--trunc-tol", "1e-16"),
+        ("figure", "fig1a", "--trunc-tol", "1e-3"),
+        ("figure", "fig1b", "--trunc-tol=1e-16"),
+    ])
+    def test_trunc_tol_on_the_kernel_route_is_rejected(self, capsys, argv):
+        # the kernel route sums no series; a tolerance it would ignore is an
+        # error, even one equal to the default
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: --trunc-tol does not apply to the closed-form kernel route\n"
+        )
+
     def test_first_failed_row_is_raised(self, capsys):
         code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "3",
                                  "--n-range", "0:3")

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from freudquad import (
     CapacityError,
     EvaluationFailure,
     basis_matrix,
+    build_basis,
     eval_basis,
     gauss_rule,
     integrate,
@@ -15,6 +18,63 @@ from freudquad import (
 )
 
 PI = math.pi
+
+
+def _matrix_gauss_rule(basis, n):
+    """``gauss_rule`` with h_0..h_n held as one (n+1) x n matrix: the Newton
+    step and tau read it whole, tau as np.sum(H * H, axis=0)."""
+    def polish(x):
+        a, H = basis.coeffs, basis_matrix(basis, x, n)
+        dlogW = -PI * basis.alpha * np.abs(x) ** (basis.alpha - 1.0) * np.sign(x)
+        d_prev, d_cur = np.zeros_like(x), H[0] * dlogW
+        for k in range(n):
+            am = a[k - 1] if k >= 1 else 0.0
+            d_prev, d_cur = d_cur, (H[k] + x * d_cur - am * d_prev) / a[k]
+        safe = np.abs(d_cur) > 0
+        step = np.zeros_like(x)
+        step[safe] = H[n][safe] / d_cur[safe]
+        return x - step
+
+    if n == 1:
+        nodes = np.zeros(1)
+    else:
+        nodes = np.sort(eigh_tridiagonal(np.zeros(n), basis.coeffs[: n - 1],
+                                         eigvals_only=True))
+        nodes = polish(nodes)
+        nodes = 0.5 * (nodes - nodes[::-1])
+    H = basis_matrix(basis, nodes, n)
+    tau = 1.0 / np.sum(H * H, axis=0)
+    return nodes, tau * weight_value(basis.alpha, nodes), tau
+
+
+class TestStreamedGaussRule:
+    @pytest.mark.parametrize("alpha, ns", [
+        (2.0, range(1, 61)),
+        (4.0, range(1, 61)),
+        (1.8, range(1, 61)),
+        (2.0, (700, 800, 1000)),  # NaN weights at 800 and 1000 (ROADMAP item 4)
+    ])
+    def test_same_bits_as_the_matrix_formulation(self, alpha, ns):
+        basis = build_basis(alpha, max(ns) + 1)
+        with np.errstate(all="ignore"):
+            for n in ns:
+                rule = gauss_rule(basis, n)
+                ref = _matrix_gauss_rule(basis, n)
+                for got, want in zip((rule.nodes, rule.omega, rule.tau), ref):
+                    assert np.array_equal(got, want, equal_nan=True), n
+
+    def test_holds_no_basis_matrix(self):
+        n = 1000
+        basis = build_basis(2.0, n + 1)
+        full = (n + 1) * n * 8  # one (n+1) x n float64 matrix, 8 MB
+        with np.errstate(all="ignore"):
+            tracemalloc.start()
+            try:
+                gauss_rule(basis, n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < full
 
 
 class TestGaussRule:

@@ -389,20 +389,30 @@ class TestVerifyOrthonormality:
             tracemalloc.stop()
         assert peak < full
 
-    def test_holds_one_chunk_at_a_time(self):
-        # three chunks of positive points: the next chunk must not be built
-        # while the previous one is still referenced
-        basis = build_basis(2.0, 100)
-        x, w, _ = _reference_grid(2.0, 100, 1024, 24)
-        assert x.size // 2 == 3 * orthopoly._GRAM_CHUNK
-        chunk = (basis.n_max + 1) * orthopoly._GRAM_CHUNK * 8
+    @staticmethod
+    def _peak_over_chunks(alpha, n_max, panels):
+        # the grid holds more than three chunks of positive points
+        basis = build_basis(alpha, n_max)
+        x, w, _ = _reference_grid(alpha, n_max, panels, 24)
+        assert x.size // 2 * (n_max + 1) * 8 > 3 * orthopoly._GRAM_BYTES
         tracemalloc.start()
         try:
             _verify_orthonormality(basis, x, w, 1e-8)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * chunk
+
+    def test_holds_one_chunk_at_a_time(self):
+        # the next chunk must not be built while the previous one is still
+        # referenced
+        peak = self._peak_over_chunks(2.0, 100, 4096)
+        assert peak < 1.5 * orthopoly._GRAM_BYTES
+
+    def test_chunk_is_bounded_in_bytes_at_large_n(self):
+        # a chunk of 4 096 points would be 26 MB at n = 800; the byte budget
+        # keeps it at 8 MiB, about 1 300 points
+        peak = self._peak_over_chunks(4.0, 800, 512)
+        assert peak < 1.5 * orthopoly._GRAM_BYTES
 
 
 class TestEvalBasis:
@@ -508,6 +518,23 @@ class TestSweep:
             blocks.append(H)
             copies.append(H.copy())
         assert all(np.array_equal(H, C) for H, C in zip(blocks, copies))
+
+    def test_overwritten_blocks_leave_later_blocks_intact(self, basis4):
+        # the recurrence carries its own copies of the last two rows
+        blocks = []
+        for _, H in _sweep(basis4, self.XS, 40, 7):
+            blocks.append(H.copy())
+            H[...] = np.nan
+        assert np.array_equal(np.concatenate(blocks), basis_matrix(basis4, self.XS, 40))
+
+    def test_default_block_is_bounded_in_bytes(self, basis2):
+        x = np.linspace(-10.0, 10.0, 1000)
+        blocks = list(_sweep(basis2, x, 599))
+        assert max(H.nbytes for _, H in blocks) <= orthopoly._SWEEP_BYTES
+        assert len(blocks[0][1]) == orthopoly._SWEEP_BYTES // x.nbytes
+        assert np.array_equal(
+            np.concatenate([H for _, H in blocks]), basis_matrix(basis2, x, 599)
+        )
 
     def test_stop_zero(self, basis2):
         for block in (1, 7):

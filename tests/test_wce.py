@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -26,7 +27,8 @@ from freudquad import (
 )
 import freudquad.wce as wce_mod
 from freudquad.experiments import _shifted_rule
-from freudquad.wce import _exact_sum, _wce_series_rows, series_truncation
+from freudquad.orthopoly import _SWEEP_BYTES
+from freudquad.wce import _ExactSums, _exact_sum, _wce_series_rows, series_truncation
 
 
 def me2_reference(nodes, omega, t, dps=40):
@@ -334,6 +336,60 @@ class TestWceSeriesRows:
         assert all(str(values[i]) == "synthetic moment failure" for i in (0, 2, 3))
 
 
+class TestStreamedSeriesRows:
+    """Ten rules summed to k = 40 000: the terms are folded as they stream."""
+
+    K = 40_000
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        return build_basis(2.0, self.K)
+
+    def rows(self, basis):
+        # node counts 3, 5, ..., 21: 120 nodes, 10 rows of about 40 000 terms
+        rules = [(n, gauss_rule(basis, n)) for n in range(3, 23, 2)]
+        return [(rule.nodes, rule.omega, 2 * n) for n, rule in rules]
+
+    def test_each_row_is_the_fsum_of_its_terms(self, deep, monkeypatch):
+        # folds of about 2**16 held terms end inside the rows; e^2 overflows
+        # to +inf on the 1e200 row, and the NaN row has only NaN terms
+        folds = []
+        fold = _ExactSums.fold
+
+        def counted_fold(self, parts):
+            folds.append(len(parts))
+            fold(self, parts)
+
+        monkeypatch.setattr(_ExactSums, "fold", counted_fold)
+        space = SpaceWeight.polynomial(2.0)
+        rows = self.rows(deep) + [
+            (np.array([0.3]), np.array([1e200]), 0),
+            (np.array([0.3]), np.array([math.nan]), 5),
+        ]
+        with np.errstate(over="ignore"):
+            got = _wce_series_rows(rows, deep, space, 1e-16, self.K)
+        assert len([f for f in folds if f]) > 4
+        lam = np.asarray(lambda_of(space, np.arange(self.K + 1)), dtype=float)
+        for value, (nodes, omega, start) in zip(got[:-2], rows):
+            e = np.vecdot(basis_matrix(deep, nodes, self.K)[start:], omega)
+            assert value == math.fsum(e * e / lam[start:])
+        assert got[-2] == math.inf
+        assert math.isnan(got[-1])
+
+    def test_holds_no_per_row_terms(self, deep):
+        # the terms of all rows, one float each, and two sweep blocks: less
+        # than a sweep that keeps every row's terms to the end would hold
+        rows = self.rows(deep)
+        held = len(rows) * (self.K + 1) * 8 + 2 * _SWEEP_BYTES
+        tracemalloc.start()
+        try:
+            _wce_series_rows(rows, deep, SpaceWeight.polynomial(2.0), 1e-16, self.K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < held
+
+
 class TestSeriesTruncation:
     def test_overflowing_first_weight_is_a_typed_failure(self):
         # exp(k) overflows a double from k = 710 on
@@ -558,6 +614,42 @@ class TestExactSum:
         assert type(_exact_sum(np.array([1.0, 2.0]))) is float
         assert type(_exact_sum(np.array([2.0**60, 2.0**61]))) is float
         assert type(_exact_sum(np.array([math.inf]))) is float
+
+
+class TestExactSums:
+    """Rows folded in pieces, several rows a fold, round to math.fsum's bits."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.floats(min_value=-1e300, max_value=1e300)),
+            max_size=80,
+        ),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_folded_in_pieces_match_fsum(self, pairs, pieces):
+        sums = _ExactSums(3)
+        for piece in np.array_split(np.arange(len(pairs)), pieces):
+            sums.fold([(pairs[i][0], np.array([pairs[i][1]])) for i in piece])
+        for row in range(3):
+            # == as in test_signed_matches_fsum: fsum keeps the sign of -0.0
+            assert sums.rounded(row) == math.fsum(v for r, v in pairs if r == row)
+
+    def test_non_finite_rows_across_folds(self):
+        sums = _ExactSums(4)
+        sums.fold([(0, np.array([1.0, math.inf])), (1, np.array([math.nan])),
+                   (2, np.array([math.inf])), (3, np.array([2.0**-1074]))])
+        sums.fold([(0, np.array([-1e300])), (1, np.array([1.0])),
+                   (2, np.array([-math.inf])), (3, np.array([2.0**-1074]))])
+        assert sums.rounded(0) == math.inf
+        assert math.isnan(sums.rounded(1))
+        assert math.isnan(sums.rounded(2))  # inf - inf, as numpy's sum gives it
+        assert sums.rounded(3) == 2.0**-1073
+
+    def test_fold_empties_its_parts(self):
+        parts = [(0, np.array([1.0]))]
+        _ExactSums(1).fold(parts)
+        assert parts == []
 
 
 class TestWCETable:
