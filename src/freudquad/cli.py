@@ -147,8 +147,11 @@ def _emit_table(table: WCETable, args, stem: str) -> None:
 
 def _check_trunc_tol(args, spec) -> None:
     """Reject an explicit ``--trunc-tol`` on the kernel route, which sums no
-    series and so has nothing to truncate."""
-    if "trunc_tol" in getattr(args, "given", ()) and spec.kernel_route:
+    series and so has nothing to truncate.  Omitted, the option is None on
+    ``figure`` and the object ``FigureSpec.trunc_tol`` itself on ``wce``
+    (argparse parses only a given value, into a new float)."""
+    given = args.trunc_tol is not None and args.trunc_tol is not FigureSpec.trunc_tol
+    if given and spec.kernel_route:
         raise ValueError("--trunc-tol does not apply to the closed-form kernel route")
 
 
@@ -291,15 +294,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-class _Given(argparse.Action):
-    """Store the value and add the option's dest to ``given``, so that an
-    explicit value can be told from the default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = {*getattr(namespace, "given", ()), self.dest}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="freudq",
@@ -337,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="geometric decay parameter; implies --s for mse2")
     p.add_argument("--dim", type=int, default=1,
                    help="tensor-product dimension for the reported error")
-    p.add_argument("--trunc-tol", type=float, default=1e-16, action=_Given)
+    # a float default, not None: perfbench/replay.py reads the parsed value
+    p.add_argument("--trunc-tol", type=float, default=FigureSpec.trunc_tol)
     p.add_argument("--k-max", type=int, default=None)
     p.set_defaults(func=_cmd_wce)
 
@@ -357,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", choices=FIGURE_IDS)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--n-range", default=None)
-    p.add_argument("--trunc-tol", type=float, default=None, action=_Given)
+    p.add_argument("--trunc-tol", type=float, default=None)
     p.add_argument(
         "--sign-mode", choices=("random", "alternating", "positive"), default=None
     )

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gamma, gammaincc
 
 from .errors import UnboundedTailError
-from .orthopoly import FreudBasis, basis_matrix, mrs_number
+from .orthopoly import FreudBasis, _sweep, mrs_number
 from .spaces import SpaceWeight
 
 __all__ = [
@@ -63,14 +63,18 @@ def sup_envelope_constant(basis: FreudBasis) -> float:
     as the maximum of |h_k|^2 k^(1/alpha - 1/3) for k <= 512 on a dense
     grid over the essential support, times a safety factor of 4.  The value
     depends on the basis it is measured on, and each call measures it
-    again.
+    again.  The grid maximum of |h_k| is taken block by block as ``_sweep``
+    streams the values, and then squared: squaring is monotone under
+    rounding, so that is the maximum of the squares, bit for bit.
     """
     kmax = min(_ENVELOPE_K_CAP, basis.n_max)
     R = 1.25 * mrs_number(basis.alpha, max(kmax, 1))
     grid = np.linspace(-R, R, 2001)
-    H = basis_matrix(basis, grid, kmax)
+    sup = np.concatenate([
+        np.abs(H, out=H).max(axis=1) for _, H in _sweep(basis, grid, kmax)
+    ])
     k = np.arange(1, kmax + 1, dtype=float)
-    envelope = (H[1:] ** 2).max(axis=1) * k ** (1.0 / basis.alpha - 1.0 / 3.0)
+    envelope = sup[1:] ** 2 * k ** (1.0 / basis.alpha - 1.0 / 3.0)
     return _ENVELOPE_SAFETY * float(envelope.max())
 
 

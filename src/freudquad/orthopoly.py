@@ -145,7 +145,7 @@ def _stieltjes_pass(alpha: float, n_max: int, x, w):
     quadrature; returns (c0, a_1..a_{n_max}).
     """
     # not built on _sweep: this recurrence produces the coefficients it recurs on
-    W = np.exp(-math.pi * np.abs(x) ** alpha)
+    W = weight_value(alpha, x)
     c0 = 1.0 / math.sqrt(float(np.sum(w * W * W)))
     a = np.zeros(n_max)
     h_prev = np.zeros_like(x)
@@ -208,7 +208,7 @@ def _verify_orthonormality(basis: FreudBasis, x, w, tol: float) -> float:
         raise ValueError("the verification grid must be mirrored about 0")
     root_w = np.hypot(np.sqrt(w[half:]), np.sqrt(w[half - 1::-1]))
     # the h_0 of _sweep: zero there means a zero column of every h_k
-    live = basis.c0 * np.exp(-math.pi * np.abs(xp) ** basis.alpha) != 0
+    live = basis.c0 * weight_value(basis.alpha, xp) != 0
     dead_w = root_w[~live]
     xp, root_w = xp[live], root_w[live]
     n = basis.n_max
@@ -316,7 +316,7 @@ def _sweep(basis: FreudBasis, x, stop: int, block: int | None = None):
         ak = list(a[k0:k0 + len(H) + 1])  # a_{k-1}, a_k at ak[j], ak[j+1], k = k0+j
         for k, h, a_prev, a_cur in zip(range(k0, stop + 1), H, ak, ak[1:]):
             if k == 0:
-                h[...] = basis.c0 * np.exp(-math.pi * np.abs(x) ** basis.alpha)
+                h[...] = basis.c0 * weight_value(basis.alpha, x)
             else:
                 mul(x, h_cur, h)
                 mul(a_prev, h_prev, t)

@@ -195,12 +195,10 @@ def lambda_of(space: SpaceWeight, k):
     # weights may overflow to inf deep in a tail scan; reciprocals are then 0
     if space.kind == "poly":
         out = (1.0 + kf) ** space.s
-    elif space.kind == "exp":
+    elif space.kind in ("exp", "mod-exp"):  # the growth law is exact here
+        law = space.decay()
         with np.errstate(over="ignore"):
-            out = np.exp(space.q * kf**space.p)
-    elif space.kind == "mod-exp":
-        with np.errstate(over="ignore"):
-            out = np.exp(space.s / math.sqrt(math.pi) * np.sqrt(kf))
+            out = np.exp(law.q * kf**law.p) / law.c
     elif space.kind == "mod-exp2":
         with np.errstate(over="ignore"):
             out = np.exp((kf + 1.0) * math.log(space._t))

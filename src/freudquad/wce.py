@@ -21,10 +21,11 @@ one exponential.
 The series route adds its terms exactly and rounds the sum once
 (``_ExactSums``): each term's integer mantissa is cut into limbs, the limbs
 are summed per row and binary exponent with ``np.bincount``, and the bins
-are added into one Python int per row.  The result is correctly rounded, so
-it is bit-identical to ``math.fsum`` of the same terms, in any order.  The
-terms are folded in as the basis sweep streams them, about 2**16 at a time,
-so no row holds all its terms.
+are accumulated per row and bit position and added into one Python int
+when the row is rounded.  The result is correctly rounded, so it is
+bit-identical to ``math.fsum`` of the same terms, in any order.  The
+terms are folded in as the basis sweep streams them, one fold per sweep
+block, so no row holds all its terms.
 """
 
 from __future__ import annotations
@@ -203,13 +204,11 @@ def _wce_series_rows(
     over the union of the rows' index ranges.  A row's terms
     lambda_k^{-1} e_k^2 are summed exactly and rounded once
     (``_ExactSums``), so the value does not depend on their order: each
-    block's terms are formed as the block arrives, and whenever about
-    ``_FOLD_TERMS`` terms of all rows are held they are folded into one
-    exact integer per row, so the memory held does not grow with the
-    truncation index or the number of rows.  Returns one
-    entry per row: the value, or the ``ValueError``/``FreudQuadError`` that
-    row raised (bad input, truncation, capacity, or the shared lambda_k
-    evaluation), which fails that row alone.
+    sweep block's terms are formed as the block arrives and folded in once
+    the block is freed, so the memory held is bounded by the sweep's block.
+    Returns one entry per row: the value, or the ``ValueError`` or
+    ``FreudQuadError`` that row raised (bad input, truncation, capacity, or
+    the shared lambda_k evaluation), which fails that row alone.
     """
     results: list = [None] * len(rows)
     truncation = {}  # start -> K, one series_truncation per distinct start
@@ -255,8 +254,8 @@ def _wce_series_rows(
             results[row[0]] = exc
         return results
     sums = _ExactSums(len(live))
-    held, held_terms = [], 0  # (row, terms) not yet folded into sums
     for k0, H in _sweep(basis, np.concatenate(xs), k_hi):
+        block = []  # this block's (row, terms)
         for row, (_, omega, start, K, off) in enumerate(live):
             lo, hi = max(start - k0, 0), min(K + 1 - k0, len(H))
             if lo >= hi:
@@ -266,13 +265,9 @@ def _wce_series_rows(
                 e[0] -= 1.0 / basis.c0  # integral of h_0 W; zero for k >= 1
             e *= e
             e /= lam[k0 + lo - k_lo:k0 + hi - k_lo]
-            held.append((row, e))
-            held_terms += e.size
-        del H  # freed before the sweep fills its next block
-        if held_terms >= _FOLD_TERMS:
-            sums.fold(held)
-            held_terms = 0
-    sums.fold(held)
+            block.append((row, e))
+        del H  # freed before the fold
+        sums.fold(block)
     for row, (slot, *_) in enumerate(live):
         results[slot] = sums.rounded(row)
     return results
@@ -280,7 +275,6 @@ def _wce_series_rows(
 
 # the 53-bit mantissa m = hi 2**35 + mid 2**17 + lo as (bit offset, width)
 _LIMBS = ((35, 18), (17, 18), (0, 17))
-_FOLD_TERMS = 1 << 16  # series terms held between folds in _wce_series_rows
 # every finite double is m * 2**(e - 53) with e >= -1073 from np.frexp,
 # so an integer multiple of 2**-_UNIT_SHIFT
 _UNIT_SHIFT = 1073 + 53
@@ -297,27 +291,32 @@ class _ExactSums:
     limbs of 18, 18 and 17 bits (the top one signed) with float64 floor and
     subtraction, which are exact here, and sums each limb per row and
     exponent with one ``np.bincount`` over all rows; a bin of fewer than 2**35
-    terms sums to an integer below 2**53, so the float64 bins are exact.  The
-    nonzero bins are added into one Python int per row, N with the sum equal
-    to N * 2**-1126.  Rounding is CPython's int true division by 2**1126,
-    which is correctly rounded half-even on the normal and subnormal grids
-    alike.  An inf or NaN term makes the row's sum inf or NaN, as numpy's sum
-    gives it.
+    terms sums to an integer below 2**53, so the float64 bins are exact.
+    ``_wce_series_rows`` folds one sweep block at a time, one term per row
+    and mode of the block: at most ``orthopoly._SWEEP_BYTES`` / 8 = 131 072
+    terms when every row has a node, far below that bound.  The bins are
+    added into int64 columns per row and bit position, exact up to 2**45
+    terms a row (each adds less than 2**18 to a column); ``rounded`` adds a
+    row's nonzero columns into one Python int N, the sum being N * 2**-1126.  Rounding is
+    CPython's int true division by 2**1126, which is correctly rounded
+    half-even on the normal and subnormal grids alike.  An inf or NaN term
+    makes the row's sum inf or NaN, as numpy's sum gives it.
     """
 
     def __init__(self, rows: int):
-        self.ints = [0] * rows
+        # bits[r, j] counts 2**(lo + j - _UNIT_SHIFT) in row r's sum; the
+        # columns grow to cover every limb that a fold has reached
+        self.bits = np.zeros((rows, 0), dtype=np.int64)
+        self.lo = 0
         self.special = [0.0] * rows  # the sum of a row's inf and NaN terms
 
     def fold(self, parts: list) -> None:
-        """Add every ``(row, terms)`` pair of ``parts`` in one pass, and
-        empty ``parts`` so that the terms are freed."""
+        """Add every ``(row, terms)`` pair of ``parts`` in one pass."""
         if not parts:
             return
         ids = np.array([r for r, _ in parts])
         counts = [terms.size for _, terms in parts]
         v = np.concatenate([terms.ravel() for _, terms in parts])
-        parts.clear()
         if v.size == 0:
             return
         finite = np.isfinite(v)
@@ -326,7 +325,7 @@ class _ExactSums:
             for r, x in zip(row[~finite].tolist(), v[~finite].tolist()):
                 self.special[r] += x  # inf - inf is NaN, as in numpy's sum
             v[~finite] = 0.0  # a zero adds nothing below
-        # a fold holds a few arrays of its terms' size, so the budget bounds it
+        # a fold holds a few arrays of its terms' size: the sweep block bounds it
         frac, e = np.frexp(v)
         del v
         e_min = int(e.min())
@@ -334,9 +333,17 @@ class _ExactSums:
         key = np.repeat(ids * size - e_min, counts)  # bins keyed by row and exponent
         key += e
         del e
-        rows = len(self.ints)
-        # row r's terms sum exactly to sum_p bit_sums[r, p] * 2**(p + e_min - 53)
-        bit_sums = np.zeros((rows, size + 35), dtype=np.int64)
+        # the lowest limb of a term with exponent e counts 2**(e - 53), column
+        # e + 1073; the two above it sit 17 and 35 columns higher
+        lo, hi = e_min + 1073, e_min + 1073 + size + 35
+        if not self.bits.shape[1]:
+            self.lo = lo
+        grow = (max(self.lo - lo, 0), max(hi - self.lo - self.bits.shape[1], 0))
+        if any(grow):
+            self.bits = np.pad(self.bits, ((0, 0), grow))
+            self.lo -= grow[0]
+        window = self.bits[:, lo - self.lo:hi - self.lo]
+        rows = len(self.special)
         limb = np.empty_like(frac)
         for at, bits in _LIMBS:
             frac *= 2.0**bits
@@ -346,23 +353,15 @@ class _ExactSums:
             else:
                 limb = frac
             bins = np.bincount(key, weights=limb, minlength=rows * size)
-            bit_sums[:, at:at + size] += bins.reshape(rows, size).astype(np.int64)
-        nz = np.flatnonzero(bit_sums)
-        r_of, p = np.divmod(nz, size + 35)
-        ends = np.searchsorted(r_of, np.arange(1, rows + 1)).tolist()
-        vals = bit_sums.ravel()[nz].tolist()
-        shifts = (p + (e_min + _UNIT_SHIFT - 53)).tolist()
-        a = 0
-        for r, b in enumerate(ends):
-            if a < b:
-                self.ints[r] += sum(map(operator.lshift, vals[a:b], shifts[a:b]))
-            a = b
+            window[:, at:at + size] += bins.reshape(rows, size).astype(np.int64)
 
     def rounded(self, row: int) -> float:
         """The sum of ``row``'s terms so far, rounded once."""
         if self.special[row]:  # inf or NaN
             return self.special[row]
-        return self.ints[row] / (1 << _UNIT_SHIFT)
+        j = np.flatnonzero(self.bits[row])
+        n = sum(map(operator.lshift, self.bits[row, j].tolist(), (j + self.lo).tolist()))
+        return n / (1 << _UNIT_SHIFT)
 
 
 def _exact_sum(v) -> float:

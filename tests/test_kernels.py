@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,28 @@ class TestSupEnvelopeConstant:
         own = 4.0 * float(((H[1:] ** 2).max(axis=1) * k ** (0.25 - 1.0 / 3.0)).max())
         assert sup_envelope_constant(narrow) == own
         assert sup_envelope_constant(wide) != own
+
+    @pytest.mark.parametrize("alpha, n_max", [(2.0, 512), (4.0, 600), (1.8, 100)])
+    def test_same_bits_as_the_matrix_formulation(self, alpha, n_max):
+        # the per-block max of |h_k|, squared, is the max of h_k^2
+        basis = build_basis(alpha, n_max)
+        kmax = min(512, n_max)
+        R = 1.25 * mrs_number(alpha, kmax)
+        H = basis_matrix(basis, np.linspace(-R, R, 2001), kmax)
+        k = np.arange(1, kmax + 1, dtype=float)
+        envelope = (H[1:] ** 2).max(axis=1) * k ** (1.0 / alpha - 1.0 / 3.0)
+        assert sup_envelope_constant(basis) == 4.0 * float(envelope.max())
+
+    def test_holds_no_basis_matrix(self):
+        # the 513 x 2001 matrix alone is 8.2 MB; the sweep's blocks are 1 MiB
+        basis = build_basis(4.0, 600)
+        tracemalloc.start()
+        try:
+            sup_envelope_constant(basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestEnvelopeTailLaws:

@@ -158,6 +158,29 @@ class TestKindAccessors:
         assert np.max(np.abs(from_law - direct) / direct) < 1e-12
 
     @pytest.mark.parametrize(
+        "space",
+        [
+            SpaceWeight.exponential(0.5, 2.0),
+            SpaceWeight.exponential(1.0, 0.3),
+            SpaceWeight.exponential(2.0, 0.01),
+            SpaceWeight.mod_exp(1.0),
+            SpaceWeight.mod_exp(0.5),
+        ],
+    )
+    def test_exponential_weights_keep_their_bits(self, space):
+        # lambda_k = e^(q k^p) / c, read from the growth law, has the bits of
+        # the expressions written out per kind
+        k = np.arange(50_001)
+        kf = k.astype(float)
+        with np.errstate(over="ignore"):
+            if space.kind == "exp":
+                written = np.exp(space.q * kf**space.p)
+            else:
+                written = np.exp(space.s / math.sqrt(math.pi) * np.sqrt(kf))
+        assert np.array_equal(lambda_of(space, k), written)
+        assert all(lambda_of(space, int(j)) == written[j] for j in (0, 1, 7, 4_096, 50_000))
+
+    @pytest.mark.parametrize(
         "space, k",
         [
             (SpaceWeight.polynomial(0.0), np.arange(2001)),

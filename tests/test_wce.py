@@ -337,7 +337,8 @@ class TestWceSeriesRows:
 
 
 class TestStreamedSeriesRows:
-    """Ten rules summed to k = 40 000: the terms are folded as they stream."""
+    """Ten rules summed to k = 40 000: the terms are folded as they stream,
+    one fold per sweep block."""
 
     K = 40_000
 
@@ -351,7 +352,7 @@ class TestStreamedSeriesRows:
         return [(rule.nodes, rule.omega, 2 * n) for n, rule in rules]
 
     def test_each_row_is_the_fsum_of_its_terms(self, deep, monkeypatch):
-        # folds of about 2**16 held terms end inside the rows; e^2 overflows
+        # folds of one sweep block each end inside the rows; e^2 overflows
         # to +inf on the 1e200 row, and the NaN row has only NaN terms
         folds = []
         fold = _ExactSums.fold
@@ -375,6 +376,24 @@ class TestStreamedSeriesRows:
             assert value == math.fsum(e * e / lam[start:])
         assert got[-2] == math.inf
         assert math.isnan(got[-1])
+
+    def test_one_fold_per_sweep_block(self, deep, monkeypatch):
+        # each fold takes one block's terms, one per row and mode of the
+        # block: never more than the block's own values
+        folds = []
+        fold = _ExactSums.fold
+
+        def counted_fold(self, parts):
+            folds.append(sum(terms.size for _, terms in parts))
+            fold(self, parts)
+
+        monkeypatch.setattr(_ExactSums, "fold", counted_fold)
+        rows = self.rows(deep)
+        _wce_series_rows(rows, deep, SpaceWeight.polynomial(2.0), 1e-16, self.K)
+        nodes = sum(nodes.size for nodes, _, _ in rows)
+        block = _SWEEP_BYTES // (8 * nodes)  # modes per sweep block
+        assert len(folds) == -(-(self.K + 1) // block)
+        assert 0 < max(folds) <= block * len(rows) < block * nodes
 
     def test_holds_no_per_row_terms(self, deep):
         # the terms of all rows, one float each, and two sweep blocks: less
@@ -645,11 +664,6 @@ class TestExactSums:
         assert math.isnan(sums.rounded(1))
         assert math.isnan(sums.rounded(2))  # inf - inf, as numpy's sum gives it
         assert sums.rounded(3) == 2.0**-1073
-
-    def test_fold_empties_its_parts(self):
-        parts = [(0, np.array([1.0]))]
-        _ExactSums(1).fold(parts)
-        assert parts == []
 
 
 class TestWCETable:
