@@ -22,12 +22,12 @@ from freudquad import (
     stft_grid_norm_sq,
 )
 
-s = math.pi / 5          # so pi/(pi - s) = 5/4
+geometric = SpaceWeight.mod_exp2(math.pi / 5)   # so pi/(pi - s) = 5/4
 print("exact geometric values for basis elements:")
 for k in (0, 1, 4, 9):
     f = HermiteExpansion.unit(k)
-    diag = modulation_norm_sq("mod-exp2", s, f)
-    grid = stft_grid_norm_sq("mod-exp2", s, f)
+    diag = modulation_norm_sq(geometric, f)
+    grid = stft_grid_norm_sq(geometric, f)
     print(f"  k={k}: diagonal {diag:.12f}  grid {grid:.12f}  exact {(1.25)**(k+1):.12f}")
 
 print("polynomial window, random 8-term expansion:")
@@ -35,13 +35,13 @@ rng = np.random.default_rng(0)
 c = rng.normal(size=8)
 c /= math.sqrt(float(np.sum(c * c)))
 f = HermiteExpansion(c)
-diag = modulation_norm_sq("mod-poly", 1.0, f)
-grid = stft_grid_norm_sq("mod-poly", 1.0, f)
+diag = modulation_norm_sq(SpaceWeight.mod_poly(1.0), f)
+grid = stft_grid_norm_sq(SpaceWeight.mod_poly(1.0), f)
 print(f"  diagonal {diag:.10f}  grid {grid:.10f}  rel gap {abs(diag-grid)/diag:.2e}")
 
 print("radial moments vs the plain coefficient weight (1+k)^s, s=2:")
 for k in (0, 10, 50, 200):
-    mu = radial_moment("mod-poly", 2.0, k)
+    mu = radial_moment(SpaceWeight.mod_poly(2.0), k)
     print(f"  k={k}: moment/(1+k)^2 = {mu / (1+k)**2:.4f}")
 
 print("coefficient-space norms:")

@@ -42,11 +42,8 @@ from .experiments import (
 from .gaussquad import gauss_rule
 from .mzframe import build_system
 from .orthopoly import basis_matrix, build_basis
-from .spaces import _KINDS, SpaceWeight, lambda_of
+from .spaces import SpaceWeight, lambda_of
 from .wce import WCETable, tensor_wce, wce_me2, wce_series
-
-# CLI space names -> SpaceWeight kinds
-_SPACE_KINDS = {name: kind for kind, (name, _) in _KINDS.items()}
 
 
 def _fmt(x: float) -> str:
@@ -157,25 +154,7 @@ def _check_trunc_tol(args, spec) -> None:
 
 def _cmd_wce(args) -> int:
     ns = _parse_n_range(args.n_range)
-    if args.t is not None and args.space != "mse2":
-        raise ValueError("--t applies only to --space mse2")
-    if (args.p, args.q) != (None, None) and args.space != "epq":
-        raise ValueError("--p and --q apply only to --space epq")
-    if args.s is not None and args.space == "epq":
-        raise ValueError("--s does not apply to --space epq")
-    if args.s is not None and args.t is not None:
-        raise ValueError("--s and --t both set the mse2 weight; give one")
-    if args.space == "epq":
-        if None in (args.p, args.q):
-            raise ValueError("--space epq needs --p and --q")
-        weight = SpaceWeight.exponential(args.p, args.q)
-    elif args.t is not None:
-        if args.t <= 1:
-            raise ValueError("--t must exceed 1")
-        weight = SpaceWeight.geometric(args.t)
-    else:
-        s = 1.0 if args.s is None else args.s
-        weight = SpaceWeight(_SPACE_KINDS[args.space], s=s)
+    weight = SpaceWeight.named(args.space, s=args.s, p=args.p, q=args.q, t=args.t)
     spec = FigureSpec(
         id="wce", n_values=tuple(ns), space_weight=weight, seed=args.seed,
         trunc_tol=args.trunc_tol, k_max=args.k_max, alpha=args.alpha,
@@ -322,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wce", help="worst-case-error table for Gauss rules")
     common(p)
-    p.add_argument("--space", choices=_SPACE_KINDS, required=True)
+    p.add_argument("--space", choices=SpaceWeight.names(), required=True)
     p.add_argument("--n-range", default="3:21:2")
     p.add_argument("--s", type=float, default=None)  # 1.0 where s applies
     p.add_argument("--p", type=float, default=None)

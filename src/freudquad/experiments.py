@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import CapacityError
 from .gaussquad import gauss_rule
 from .mzframe import build_system, generalized_weights, perturb_nodes, support_check
 from .orthopoly import build_basis
@@ -156,6 +157,15 @@ def _check_depth(spec: FigureSpec) -> None:
             )
 
 
+def _gauss_rule(basis, size: int):
+    """``gauss_rule``, failing the row with a ``CapacityError`` on non-finite values."""
+    rule = gauss_rule(basis, size)
+    if not all(np.isfinite(v).all() for v in (rule.nodes, rule.omega, rule.tau)):
+        raise CapacityError(f"the {size}-node Gauss rule has non-finite nodes or "
+                            f"weights on a basis of capacity {basis.n_max}")
+    return rule
+
+
 def _shifted_rule(
     basis, n: int, eps: float, sign_mode: str, seed: int,
     allow_reorder: bool = True, L: float = 3.0,
@@ -164,7 +174,7 @@ def _shifted_rule(
     system of order n on them and its generalized weights: returns
     ``(nodes, omega, report)`` with the report's a_n, b_n, min omega and
     support check at scale ``L``."""
-    rule = gauss_rule(basis, n + 1)
+    rule = _gauss_rule(basis, n + 1)
     nodes, tau = perturb_nodes(
         rule, eps, sign_mode=sign_mode, seed=seed, allow_reorder=allow_reorder
     )
@@ -184,7 +194,7 @@ def _rule_row(spec: FigureSpec, basis, n: int) -> tuple[tuple, dict]:
     perturbed system (empty for plain Gauss rules)."""
     size, start = _rule_shape(spec, n)
     if spec.eps is None:
-        rule = gauss_rule(basis, size)
+        rule = _gauss_rule(basis, size)
         return (rule.nodes, rule.omega, start), {}
     nodes, omega, report = _shifted_rule(basis, n, spec.eps, spec.sign_mode, spec.seed)
     return (nodes, omega, start), report

@@ -69,6 +69,8 @@ def build_system(basis: FreudBasis, n: int, nodes, tau) -> MZSystem:
         raise ValueError("nodes and tau must be 1-D arrays of equal length")
     if nodes.size < 1:
         raise ValueError("need at least one node")
+    if not (np.isfinite(nodes).all() and np.isfinite(tau).all()):
+        raise ValueError("nodes and tau must be finite")
     if np.unique(nodes).size != nodes.size:
         raise ValueError("nodes must be distinct")
     if np.any(tau < 0):

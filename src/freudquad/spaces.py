@@ -8,9 +8,9 @@ A ``SpaceWeight`` selects a rule k -> lambda_k on the basis expansion:
     mod-exp(s)   mse   exp((s/sqrt(pi)) sqrt(k))      (coefficient-side equivalent)
     mod-exp2(s)  mse2  (pi/(pi-s))^(k+1)              (exact, 0 <= s < pi)
 
-The middle column is the report and CLI ``name``.  Only this module tells
-the kinds apart; other modules ask a weight for its ``name``, fit ``axis``,
-``theory_slope`` and growth law ``decay()``.
+The middle column is the report and CLI ``name`` (``SpaceWeight.named``).
+Only this module tells the kinds apart; other modules ask a weight for its
+``name``, fit ``axis``, ``theory_slope`` and growth law ``decay()``.
 
 For the squared-exponential weight (alpha=2) the time-frequency-transform
 norms diagonalize over the basis: the transform maps h_k to a normalized
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -50,12 +49,6 @@ _KINDS = {
 }
 
 
-def _geometric_t(s: float) -> float:
-    """The ratio t = pi/(pi - s) of the mod-exp2 weight t^(k+1), for when
-    only s is known."""
-    return math.pi / (math.pi - s)
-
-
 class Decay(NamedTuple):
     """A growth law of the weights: lambda_k^(-1) <= c (1+k)^(-s) when ``s``
     is set (the polynomial kinds), else lambda_k^(-1) = c e^(-q k^p)."""
@@ -72,7 +65,7 @@ class SpaceWeight:
 
     A mod-exp2 weight keeps its ratio t in ``_t``: the t it was built from
     by ``geometric(t)`` (s = pi(1 - 1/t) does not always round-trip to t),
-    else ``_geometric_t(s)``.
+    else pi/(pi - s).
     """
 
     kind: str
@@ -94,7 +87,7 @@ class SpaceWeight:
         if self.kind != "mod-exp2" and self._t is not None:
             raise ValueError(f"a ratio t applies only to mod-exp2, not {self.kind!r}")
         if self.kind == "mod-exp2" and self._t is None:
-            object.__setattr__(self, "_t", _geometric_t(self.s))
+            object.__setattr__(self, "_t", math.pi / (math.pi - self.s))
 
     # constructors
     @classmethod
@@ -123,6 +116,34 @@ class SpaceWeight:
         if not t > 1:
             raise ValueError(f"geometric decay needs t > 1, got t={t}")
         return cls("mod-exp2", s=math.pi * (1.0 - 1.0 / t), _t=float(t))
+
+    @classmethod
+    def named(cls, name: str, s=None, p=None, q=None, t=None) -> "SpaceWeight":
+        """The weight a report name stands for: epq takes p and q, the others
+        s (default 1), mse2 t in place of s.  Any other parameter is an error."""
+        kind = next((k for k, (n, _) in _KINDS.items() if n == name), None)
+        if kind is None:
+            raise ValueError(f"unknown space name {name!r}")
+        if t is not None and kind != "mod-exp2":
+            raise ValueError(f"t applies only to mse2, not {name}")
+        if kind == "exp":
+            if s is not None:
+                raise ValueError("s does not apply to epq")
+            if p is None or q is None:
+                raise ValueError("epq needs p and q")
+            return cls.exponential(p, q)
+        if p is not None or q is not None:
+            raise ValueError(f"p and q apply only to epq, not {name}")
+        if t is None:
+            return cls(kind, s=1.0 if s is None else float(s))
+        if s is not None:
+            raise ValueError("s and t both set the mse2 weight; give one")
+        return cls.geometric(t)
+
+    @staticmethod
+    def names() -> tuple:
+        """The report names, one per kind: hs, epq, ms, mse, mse2."""
+        return tuple(n for n, _ in _KINDS.values())
 
     @property
     def name(self) -> str:
@@ -203,12 +224,10 @@ def lambda_of(space: SpaceWeight, k):
         with np.errstate(over="ignore"):
             out = np.exp((kf + 1.0) * math.log(space._t))
     elif float(space.s).is_integer():  # mod-poly: exact radial moments
-        out = _mod_poly_moments(int(space.s), kf)
+        out = _mod_poly_moments(space, kf)
     else:
-        flat = np.array(
-            [radial_moment("mod-poly", space.s, int(kk)) for kk in np.ravel(karr)]
-        )
-        out = flat.reshape(karr.shape)
+        out = np.array([_moment_quad(space, int(kk)) for kk in karr.flat])
+        out = out.reshape(karr.shape)
     if np.isscalar(k) or karr.ndim == 0:
         return float(out)
     return out
@@ -220,18 +239,14 @@ def coeff_norm_sq(space: SpaceWeight, f: HermiteExpansion) -> float:
     return float(math.fsum(lambda_of(space, k) * f.coeffs**2))
 
 
-def _moment_integrand_log(t, k, lgk):
-    # t^k e^{-t} / k!  in log form; caller adds the window factor
-    return k * math.log(t) - t - lgk if t > 0 else -math.inf
-
-
-def _mod_poly_moments(s: int, k: np.ndarray) -> np.ndarray:
-    """Exact mod-poly moments mu_k(s) for integer s over a float array k.
+def _mod_poly_moments(space: SpaceWeight, k: np.ndarray) -> np.ndarray:
+    """Exact moments mu_k(s) of a mod-poly weight of integer s, over float k.
 
     (1 + t/pi)^s expands exactly, so mu_k = sum_j C(s,j) pi^-j (k+1)...(k+j).
     The rising factorials are exp(gammaln(k+j+1) - gammaln(k+1)) with
     ``math.exp`` per element: ``np.exp`` rounds some of them differently.
     """
+    s = int(space.s)
     total = np.zeros(k.shape)
     for j in range(s + 1):
         log_rising = gammaln(k + j + 1) - gammaln(k + 1)
@@ -240,30 +255,24 @@ def _mod_poly_moments(s: int, k: np.ndarray) -> np.ndarray:
     return total
 
 
-@lru_cache(maxsize=None)
-def _radial_moment_cached(kind: str, s: float, k: int) -> float:
-    if kind == "mod-exp2":
-        return _geometric_t(s) ** (k + 1)
-
-    if kind == "mod-poly" and float(s).is_integer():
-        return float(_mod_poly_moments(int(s), np.array(float(k))))
-
-    # adaptive quadrature of t^k e^{-t}/k! times the radial window
+def _moment_quad(space: SpaceWeight, k: int) -> float:
+    """mu_k of a mod-poly or mod-exp window by adaptive quadrature."""
     # imported here, not at module level: loading scipy.integrate costs ~20 MB
-    # and ~0.1 s, and only non-integer mod-* moments need it
+    # and ~0.1 s, and only non-integer mod-poly and mod-exp moments need it
     from scipy.integrate import quad
 
+    s = float(space.s)
     lgk = gammaln(k + 1)
-    if kind == "mod-poly":
+
+    def log_density(t):  # t^k e^{-t} / k! in log form
+        return k * math.log(t) - t - lgk if t > 0 else -math.inf
+
+    if space.kind == "mod-poly":
         def f(t):
-            return math.exp(_moment_integrand_log(t, k, lgk)) * (1.0 + t / math.pi) ** s
-    elif kind == "mod-exp":
-        def f(t):
-            return math.exp(
-                _moment_integrand_log(t, k, lgk) + s * math.sqrt(t / math.pi)
-            )
+            return math.exp(log_density(t)) * (1.0 + t / math.pi) ** s
     else:
-        raise ValueError(f"radial moments are defined for the mod-* kinds, not {kind!r}")
+        def f(t):
+            return math.exp(log_density(t) + s * math.sqrt(t / math.pi))
     upper = k + 40.0 * math.sqrt(k + 1.0) + 60.0
     val, err = quad(f, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=200)
     if not np.isfinite(val) or (val > 0 and err / val > 1e-9):
@@ -273,32 +282,37 @@ def _radial_moment_cached(kind: str, s: float, k: int) -> float:
     return float(val)
 
 
-def radial_moment(kind: str, s: float, k: int) -> float:
+def _require_modulation(space: SpaceWeight) -> None:
+    if space.kind in ("poly", "exp"):
+        raise ValueError(f"modulation norms need a mod-* weight, not {space.kind!r}")
+
+
+def radial_moment(space: SpaceWeight, k: int) -> float:
     """mu_k: the k-th normalized radial moment of the window weight.
 
     mu_k = (1/k!) * integral_0^inf t^k w(sqrt(t/pi)) e^{-t} dt with
     w(r) = (1+r^2)^s, e^{s r} or e^{s r^2} for mod-poly / mod-exp /
-    mod-exp2.  Exact reductions are used where they exist (integer s,
-    and the mod-exp2 geometric form); otherwise adaptive quadrature.
+    mod-exp2.  For mod-poly and mod-exp2 that is lambda_k; the mod-exp
+    lambda_k is only a coefficient-side equivalent, so its mu_k is integrated.
     """
+    _require_modulation(space)
     if k < 0:
         raise ValueError("moment index must be >= 0")
-    if kind == "mod-exp2" and not 0 <= s < math.pi:
-        raise ValueError("mod-exp2 needs 0 <= s < pi")
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    return _radial_moment_cached(kind, float(s), int(k))
+    if space.kind == "mod-exp":
+        return _moment_quad(space, int(k))
+    return lambda_of(space, k)
 
 
-def modulation_norm_sq(kind: str, s: float, f: HermiteExpansion) -> float:
+def modulation_norm_sq(space: SpaceWeight, f: HermiteExpansion) -> float:
     """Diagonal form of the squared weighted transform norm.
 
     Valid only for alpha = 2, where the basis diagonalizes the transform.
     """
     if f.alpha != 2.0:
         raise ValueError(f"modulation norms require alpha=2, got {f.alpha}")
+    _require_modulation(space)
     terms = [
-        f.coeffs[k] ** 2 * radial_moment(kind, s, k)
+        f.coeffs[k] ** 2 * radial_moment(space, k)
         for k in range(f.coeffs.size)
         if f.coeffs[k] != 0.0
     ]
@@ -317,14 +331,14 @@ class GridSpec:
     points: int = 801
 
 
-def _auto_radius(m: int, kind: str, s: float) -> float:
-    decay = math.pi - (s if kind == "mod-exp2" else 0.0)
+def _auto_radius(m: int, space: SpaceWeight) -> float:
+    decay = math.pi - (space.s if space.kind == "mod-exp2" else 0.0)
     r_sq = (m + 40.0 * math.sqrt(m + 1.0) + 60.0) / decay
     return math.sqrt(r_sq)
 
 
 def stft_grid_norm_sq(
-    kind: str, s: float, f: HermiteExpansion, grid: GridSpec | None = None
+    space: SpaceWeight, f: HermiteExpansion, grid: GridSpec | None = None
 ) -> float:
     """2-D tensor-trapezoid evaluation of the weighted transform norm.
 
@@ -334,9 +348,10 @@ def stft_grid_norm_sq(
     """
     if f.alpha != 2.0:
         raise ValueError(f"modulation norms require alpha=2, got {f.alpha}")
+    _require_modulation(space)
     grid = grid or GridSpec()
     m = f.coeffs.size - 1
-    R = grid.radius if grid.radius is not None else _auto_radius(m, kind, s)
+    R = grid.radius if grid.radius is not None else _auto_radius(m, space)
     u = np.linspace(-R, R, grid.points)
     X, Y = np.meshgrid(u, u, indexing="ij")
     Z = X - 1j * Y  # conjugate argument of the analytic factor
@@ -347,14 +362,12 @@ def stft_grid_norm_sq(
     for c in mono[::-1]:
         P = P * Z + c
     r_sq = X * X + Y * Y
-    if kind == "mod-poly":
-        w = (1.0 + r_sq) ** s
-    elif kind == "mod-exp":
-        w = np.exp(s * np.sqrt(r_sq))
-    elif kind == "mod-exp2":
-        w = np.exp(s * r_sq)
-    else:
-        raise ValueError(f"unknown modulation kind {kind!r}")
+    if space.kind == "mod-poly":
+        w = (1.0 + r_sq) ** space.s
+    elif space.kind == "mod-exp":
+        w = np.exp(space.s * np.sqrt(r_sq))
+    else:  # mod-exp2
+        w = np.exp(space.s * r_sq)
     F = (P.real**2 + P.imag**2) * np.exp(-math.pi * r_sq) * w
     interior = F.max()
     boundary = max(F[0].max(), F[-1].max(), F[:, 0].max(), F[:, -1].max())

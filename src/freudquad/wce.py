@@ -275,9 +275,11 @@ def _wce_series_rows(
 
 # the 53-bit mantissa m = hi 2**35 + mid 2**17 + lo as (bit offset, width)
 _LIMBS = ((35, 18), (17, 18), (0, 17))
-# every finite double is m * 2**(e - 53) with e >= -1073 from np.frexp,
-# so an integer multiple of 2**-_UNIT_SHIFT
+# every finite double is m * 2**(e - 53) with -1073 <= e <= 1024 from
+# np.frexp, so an integer multiple of 2**-_UNIT_SHIFT; its three limbs
+# count in columns e + 1073, 17 and 35 higher (see _ExactSums)
 _UNIT_SHIFT = 1073 + 53
+_COLUMNS = 1073 + 1024 + 35 + 1
 
 
 class _ExactSums:
@@ -295,19 +297,19 @@ class _ExactSums:
     ``_wce_series_rows`` folds one sweep block at a time, one term per row
     and mode of the block: at most ``orthopoly._SWEEP_BYTES`` / 8 = 131 072
     terms when every row has a node, far below that bound.  The bins are
-    added into int64 columns per row and bit position, exact up to 2**45
-    terms a row (each adds less than 2**18 to a column); ``rounded`` adds a
-    row's nonzero columns into one Python int N, the sum being N * 2**-1126.  Rounding is
-    CPython's int true division by 2**1126, which is correctly rounded
-    half-even on the normal and subnormal grids alike.  An inf or NaN term
-    makes the row's sum inf or NaN, as numpy's sum gives it.
+    added into int64 columns per row and bit position, one for each bit a
+    limb of any finite double can reach (17 KB a row from ``np.zeros``, so
+    pages no fold touches stay unmapped), exact up to 2**45 terms a row
+    (each adds less than 2**18 to a column); ``rounded`` adds a row's
+    nonzero columns into one Python int N, the sum being N * 2**-1126.
+    Rounding is CPython's int true division by 2**1126, which is correctly
+    rounded half-even on the normal and subnormal grids alike.  An inf or
+    NaN term makes the row's sum inf or NaN, as numpy's sum gives it.
     """
 
     def __init__(self, rows: int):
-        # bits[r, j] counts 2**(lo + j - _UNIT_SHIFT) in row r's sum; the
-        # columns grow to cover every limb that a fold has reached
-        self.bits = np.zeros((rows, 0), dtype=np.int64)
-        self.lo = 0
+        # bits[r, j] counts 2**(j - _UNIT_SHIFT) in row r's sum
+        self.bits = np.zeros((rows, _COLUMNS), dtype=np.int64)
         self.special = [0.0] * rows  # the sum of a row's inf and NaN terms
 
     def fold(self, parts: list) -> None:
@@ -333,16 +335,7 @@ class _ExactSums:
         key = np.repeat(ids * size - e_min, counts)  # bins keyed by row and exponent
         key += e
         del e
-        # the lowest limb of a term with exponent e counts 2**(e - 53), column
-        # e + 1073; the two above it sit 17 and 35 columns higher
-        lo, hi = e_min + 1073, e_min + 1073 + size + 35
-        if not self.bits.shape[1]:
-            self.lo = lo
-        grow = (max(self.lo - lo, 0), max(hi - self.lo - self.bits.shape[1], 0))
-        if any(grow):
-            self.bits = np.pad(self.bits, ((0, 0), grow))
-            self.lo -= grow[0]
-        window = self.bits[:, lo - self.lo:hi - self.lo]
+        window = self.bits[:, e_min + 1073:]
         rows = len(self.special)
         limb = np.empty_like(frac)
         for at, bits in _LIMBS:
@@ -360,7 +353,7 @@ class _ExactSums:
         if self.special[row]:  # inf or NaN
             return self.special[row]
         j = np.flatnonzero(self.bits[row])
-        n = sum(map(operator.lshift, self.bits[row, j].tolist(), (j + self.lo).tolist()))
+        n = sum(map(operator.lshift, self.bits[row, j].tolist(), j.tolist()))
         return n / (1 << _UNIT_SHIFT)
 
 
@@ -387,6 +380,8 @@ def series_truncation(
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
+    if tol >= 1:  # the index would fall below start, so every rule reads as exact
+        raise ValueError("tol must be below 1")
     lam_start = float(lambda_of(space, start))
     if math.isinf(lam_start):
         raise FreudQuadError(

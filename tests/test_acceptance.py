@@ -229,13 +229,13 @@ def test_10_abstract_bound(basis2):
 def test_11_modulation_norm_exactness():
     worst_diag = worst_grid = 0.0
     for tv in (1.25, 50.0 / 49.0):
-        s = SpaceWeight.geometric(tv).s
+        space = SpaceWeight.geometric(tv)
         for k in range(16):
             f = HermiteExpansion.unit(k)
             closed = tv ** (k + 1)
-            diag = modulation_norm_sq("mod-exp2", s, f)
+            diag = modulation_norm_sq(space, f)
             worst_diag = max(worst_diag, abs(diag - closed) / closed)
-            grid_val = stft_grid_norm_sq("mod-exp2", s, f)
+            grid_val = stft_grid_norm_sq(space, f)
             worst_grid = max(worst_grid, abs(grid_val - closed) / closed)
     assert worst_diag < 1e-10
     assert worst_grid < 1e-4
@@ -249,7 +249,7 @@ def test_12_norm_equivalence_interval():
     details = []
     for s in (1.0, 2.0):
         k = np.arange(0, 201)
-        moments = np.array([radial_moment("mod-poly", s, int(kk)) for kk in k])
+        moments = np.array([radial_moment(SpaceWeight.mod_poly(s), int(kk)) for kk in k])
         ratios = moments / (1.0 + k) ** s
         width = float(ratios.max() - ratios.min())
         assert ratios.min() > 0.0

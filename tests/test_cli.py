@@ -326,6 +326,29 @@ class TestWce:
         assert out == ""
         assert err == "error: node count must be >= 1, got n=0\n"
 
+    @pytest.mark.parametrize("tol", ["1", "1e10", "inf"])
+    def test_trunc_tol_of_one_or_more_is_rejected(self, capsys, tol):
+        # the truncation index would fall below every row's first mode, so
+        # each row would print as an exact rule (0, nan)
+        code, out, err = run_cli(capsys, "wce", "--space", "mse", "--n-range", "3:7:2",
+                                 "--trunc-tol", tol)
+        assert code == 1
+        assert out == ""
+        assert err == "error: tol must be below 1\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # gauss_rule's NaN weights
+    def test_row_with_non_finite_weights_is_numerical_failure(self, capsys):
+        # the 801-node rule at alpha = 2 has NaN weights; the row printed
+        # "801,nan,nan" with exit 0
+        code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "3",
+                                 "--n-range", "3,801", "--k-max", "3000")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "numerical failure: the 801-node Gauss rule has non-finite nodes or "
+            "weights on a basis of capacity 3000\n"
+        )
+
     def test_overflowing_weight_is_numerical_failure(self, capsys):
         # exp(k) overflows at the top row's first mode k = 2n = 1402
         code, _, err = run_cli(capsys, "wce", "--space", "epq", "--p", "1", "--q",
@@ -422,6 +445,9 @@ class TestValidation:
             "wce --space ms --s 2 --n-range 3:5:2 --p 1 --q 1",
             "wce --space epq --p 1 --q 1 --s 7",
             "wce --space mse2 --t 1.25 --s 9",
+            "wce --space mse --t 1.25",
+            "wce --space epq --p 1",
+            "wce --space mse2 --t 1",
         ],
     )
     def test_ignored_option_is_rejected(self, capsys, tmp_path, monkeypatch, command):

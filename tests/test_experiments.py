@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from freudquad import FIGURE_IDS, FigureSpec, SpaceWeight, figure_spec, run_figure
-from freudquad.cli import _SPACE_KINDS, main
+from freudquad.cli import main
 
 # to_csv() of every figure at n = 3, 5, 7, recorded with rows run one after
 # another; any change to these bytes is a change in the reported results
@@ -175,6 +175,20 @@ class TestRunFigure:
         monkeypatch.undo()
         assert table.wce == run_figure("fig2a", n_values=(3, 5)).wce
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # gauss_rule's NaN weights
+    @pytest.mark.parametrize("fid, n", [("fig3a", 800), ("fig1a", 801)])
+    def test_row_with_non_finite_weights_fails_alone(self, fid, n):
+        # the alpha = 2 Gauss rule of 801 nodes has NaN weights: the shifted
+        # row recorded a bare scipy ValueError, the kernel row a NaN value
+        depth = {} if figure_spec(fid).kernel_route else {"k_max": 3_000}
+        table = run_figure(fid, n_values=(3, n), **depth)
+        assert table.ns == (3,)
+        assert table.wce == run_figure(fid, n_values=(3,), **depth).wce
+        assert table.params["failures"] == {
+            str(n): "CapacityError: the 801-node Gauss rule has non-finite nodes or "
+            f"weights on a basis of capacity {3_000 if depth else 802}"
+        }
+
     @pytest.mark.parametrize(
         "fid, n_values, k_max, message",
         [
@@ -211,7 +225,8 @@ class TestRunFigure:
         # a fixed depth applies to the series route only
         depth = {} if figure_spec(fid).kernel_route else {"k_max": 400}
         table = run_figure(fid, n_values=(3, 5), **depth)
-        assert _SPACE_KINDS[table.params["space"]] == figure_spec(fid).space().kind
+        named = SpaceWeight.named(table.params["space"])
+        assert named.kind == figure_spec(fid).space().kind
 
     def test_exp_weight_has_no_theory_slope(self, capsys):
         table = run_figure(FigureSpec(

@@ -17,6 +17,7 @@ from freudquad import (
     sup_envelope_constant,
     tail_index,
 )
+from freudquad.orthopoly import _sweep
 
 
 def _series_oracle(t, x, y, K):
@@ -176,6 +177,21 @@ class TestSupEnvelopeConstant:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    @pytest.mark.parametrize("alpha, n_max", [(2.0, 2000), (4.0, 800), (1.8, 400)])
+    def test_bounds_every_mode_of_the_basis(self, alpha, n_max):
+        # oracle for the absolute bound: max_x h_k(x)^2 <= C k^(1/3 - 1/alpha)
+        # on a grid 20 times finer and 1.1 MRS numbers of the top degree
+        # wide, for every mode of the basis, past the 512 modes C is read on
+        basis = build_basis(alpha, n_max)
+        C = sup_envelope_constant(basis)
+        R = 1.1 * mrs_number(alpha, n_max)
+        sup = np.concatenate([
+            np.abs(H, out=H).max(axis=1)
+            for _, H in _sweep(basis, np.linspace(-R, R, 40_001), n_max)
+        ])
+        k = np.arange(1, n_max + 1, dtype=float)
+        assert np.all(sup[1:] ** 2 <= C * k ** (1.0 / 3.0 - 1.0 / alpha))
 
 
 class TestEnvelopeTailLaws:

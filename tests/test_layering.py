@@ -1,7 +1,8 @@
 """Each space kind is decided in one module: ``spaces``.
 
 Every other module asks a ``SpaceWeight`` for its name, fit axis, theory
-slope or growth law instead of comparing its kind string.
+slope or growth law instead of comparing its kind string or its report
+name, and builds a weight from a report name with ``SpaceWeight.named``.
 """
 
 import ast
@@ -9,15 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from freudquad.spaces import _KINDS
+from freudquad.spaces import _KINDS, SpaceWeight
 
 PACKAGE = Path(__file__).parents[1] / "src" / "freudquad"
 OTHER_MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "spaces.py")
+# kind strings and report names alike
+KIND_WORDS = set(_KINDS) | set(SpaceWeight.names())
 
 
 def _kind_comparisons(source: str) -> list[str]:
-    """Comparisons in ``source`` with a ``.kind`` operand or a kind literal
-    among their operands (directly or inside a tuple, list or set)."""
+    """Comparisons in ``source`` with a ``.kind`` operand, or a kind or
+    report-name literal, among their operands (directly or inside a tuple,
+    list or set)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Compare):
@@ -28,7 +32,7 @@ def _kind_comparisons(source: str) -> list[str]:
                 operands.extend(operand.elts)
         if any(
             isinstance(op, ast.Attribute) and op.attr == "kind"
-            or isinstance(op, ast.Constant) and op.value in _KINDS
+            or isinstance(op, ast.Constant) and op.value in KIND_WORDS
             for op in operands
         ):
             found.append(f"line {node.lineno}: {ast.unparse(node)}")
@@ -48,6 +52,9 @@ def test_no_kind_comparison_outside_spaces(path):
         'kind == "exp"',
         '"mod-exp2" != w.kind',
         'kind in {"mod-exp", "exp"}',
+        'args.space == "epq"',
+        'args.space != "mse2"',
+        'name in ("hs", "ms")',
     ],
 )
 def test_the_check_sees_each_form(line):

@@ -77,6 +77,14 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             build_system(basis2, 2, np.array([0.1, 0.2]), np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_nodes_or_tau(self, basis2, bad):
+        # NaN passes a sign test on tau; a NaN row of the Gram matrix would
+        # reach eigh
+        for nodes, tau in (([0.1, bad], [1.0, 1.0]), ([0.1, 0.2], [1.0, bad])):
+            with pytest.raises(ValueError, match="must be finite"):
+                build_system(basis2, 1, np.array(nodes), np.array(tau))
+
 
 class TestGeneralizedWeights:
     def test_gauss_special_case(self, basis2, gauss22):

@@ -594,11 +594,11 @@ class TestStieltjesPass:
 _FOOTPRINT_SCRIPT = """
 import sys
 import freudquad, freudquad.cli
-from freudquad import build_basis, radial_moment, run_figure
+from freudquad import SpaceWeight, build_basis, radial_moment, run_figure
 build_basis(4.0, 40)
 run_figure("fig3b", n_values=(3, 5))
 print("scipy.integrate" in sys.modules)
-print(radial_moment("mod-poly", 1.5, 7).hex())
+print(radial_moment(SpaceWeight.mod_poly(1.5), 7).hex())
 """
 
 

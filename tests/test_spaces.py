@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +17,8 @@ from freudquad import (
     radial_moment,
     stft_grid_norm_sq,
 )
-from freudquad.spaces import Decay, _radial_moment_cached
+from freudquad import spaces
+from freudquad.spaces import Decay
 
 PI = math.pi
 
@@ -35,7 +37,7 @@ class TestSpaceWeight:
 
     def test_mod_poly_lambda_is_exact_moment(self):
         sw = SpaceWeight.mod_poly(1.0)
-        assert lambda_of(sw, 2) == pytest.approx(radial_moment("mod-poly", 1.0, 2), rel=1e-15)
+        assert lambda_of(sw, 2) == pytest.approx(radial_moment(sw, 2), rel=1e-15)
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_mod_poly_array_moments_match_scalar_bits(self, s):
@@ -51,14 +53,19 @@ class TestSpaceWeight:
         sw = SpaceWeight.mod_poly(s)
         assert np.array_equal(lambda_of(sw, k), ref)
         assert np.array_equal(lambda_of(sw, k.reshape(3, 1667)), ref.reshape(3, 1667))
-        assert np.array_equal([radial_moment("mod-poly", s, kk) for kk in k], ref)
+        assert np.array_equal([radial_moment(sw, kk) for kk in k], ref)
 
-    def test_mod_poly_table_makes_no_scalar_moment_calls(self):
+    def test_mod_poly_table_makes_no_scalar_moment_calls(self, monkeypatch):
         # the k range of `freudq wce --space ms --s 2 --n-range 3:21:2`
-        before = _radial_moment_cached.cache_info()
+        calls = []
+        quad = spaces._moment_quad
+        monkeypatch.setattr(
+            spaces, "_moment_quad", lambda *a: calls.append(a) or quad(*a)
+        )
         lambda_of(SpaceWeight.mod_poly(2.0), np.arange(6, 40_001))
-        after = _radial_moment_cached.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert calls == []
+        lambda_of(SpaceWeight.mod_poly(1.5), np.arange(3))  # the quadrature path
+        assert len(calls) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -109,6 +116,37 @@ class TestSpaceWeight:
         assert SpaceWeight.geometric(3) == given
         with pytest.raises(ValueError, match="only to mod-exp2"):
             SpaceWeight("mod-exp", s=1.0, _t=3.0)
+
+    def test_named_builds_each_report_name(self):
+        assert SpaceWeight.names() == ("hs", "epq", "ms", "mse", "mse2")
+        assert SpaceWeight.named("hs") == SpaceWeight.polynomial(1.0)
+        assert SpaceWeight.named("ms", s=2.5) == SpaceWeight.mod_poly(2.5)
+        assert SpaceWeight.named("mse", s=0.5) == SpaceWeight.mod_exp(0.5)
+        assert SpaceWeight.named("mse2", s=0.6) == SpaceWeight.mod_exp2(0.6)
+        assert SpaceWeight.named("mse2", t=1.25) == SpaceWeight.geometric(1.25)
+        assert SpaceWeight.named("epq", p=1, q=2) == SpaceWeight.exponential(1.0, 2.0)
+        for name in SpaceWeight.names():
+            given = {"p": 1.0, "q": 1.0} if name == "epq" else {}
+            assert SpaceWeight.named(name, **given).name == name
+
+    @pytest.mark.parametrize(
+        "name, given, message",
+        [
+            ("hs", {"t": 1.25}, "t applies only to mse2, not hs"),
+            ("epq", {"t": 1.25, "p": 1, "q": 1}, "t applies only to mse2, not epq"),
+            ("ms", {"p": 1}, "p and q apply only to epq, not ms"),
+            ("mse2", {"q": 1, "t": 2}, "p and q apply only to epq, not mse2"),
+            ("epq", {"s": 1, "p": 1, "q": 1}, "s does not apply to epq"),
+            ("epq", {"p": 1}, "epq needs p and q"),
+            ("mse2", {"s": 1, "t": 2}, "s and t both set the mse2 weight; give one"),
+            ("mse2", {"t": 1}, "geometric decay needs t > 1"),
+            ("hs", {"s": -1}, "poly weights need s >= 0"),
+            ("poly", {}, "unknown space name 'poly'"),
+        ],
+    )
+    def test_named_rejects_what_the_space_does_not_take(self, name, given, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SpaceWeight.named(name, **given)
 
     @pytest.mark.parametrize("t", [1.0, 0.5, 0.0, -2.0])
     def test_geometric_needs_t_above_one(self, t):
@@ -235,14 +273,14 @@ class TestCoeffNorm:
 class TestRadialMoment:
     def test_mod_poly_s0(self):
         for k in (0, 1, 5, 20):
-            assert radial_moment("mod-poly", 0.0, k) == pytest.approx(1.0, rel=1e-14)
+            assert radial_moment(SpaceWeight.mod_poly(0.0), k) == pytest.approx(1.0, rel=1e-14)
 
     def test_mod_poly_s1_k2(self):
-        assert radial_moment("mod-poly", 1.0, 2) == pytest.approx(1.0 + 3.0 / PI, rel=1e-13)
+        assert radial_moment(SpaceWeight.mod_poly(1.0), 2) == pytest.approx(1.0 + 3.0 / PI, rel=1e-13)
 
     def test_mod_exp2_geometric(self):
         s = PI * (1.0 - 0.8)
-        assert radial_moment("mod-exp2", s, 3) == pytest.approx(1.25 ** 4, rel=1e-14)
+        assert radial_moment(SpaceWeight.mod_exp2(s), 3) == pytest.approx(1.25 ** 4, rel=1e-14)
 
     def test_nonint_s_against_mpmath(self):
         s = 1.5
@@ -253,7 +291,7 @@ class TestRadialMoment:
                     * (1 + t / mp.pi) ** s if t > 0 else mp.mpf(0),
                     [0, k + 5, k + 40 * math.sqrt(k + 1) + 60],
                 )
-            got = radial_moment("mod-poly", s, k)
+            got = radial_moment(SpaceWeight.mod_poly(s), k)
             assert got == pytest.approx(float(ref), rel=1e-10)
 
     def test_mod_exp_quadrature_against_mpmath(self):
@@ -266,47 +304,64 @@ class TestRadialMoment:
                 if t > 0 else mp.mpf(0),
                 [0, k + 5, k + 40 * math.sqrt(k + 1) + 60],
             )
-        assert radial_moment("mod-exp", s, k) == pytest.approx(float(ref), rel=1e-10)
+        assert radial_moment(SpaceWeight.mod_exp(s), k) == pytest.approx(float(ref), rel=1e-10)
 
     def test_validation(self):
+        # s is checked once, by the weight
         with pytest.raises(ValueError):
-            radial_moment("mod-poly", -0.5, 2)
+            radial_moment(SpaceWeight.mod_poly(-0.5), 2)
         with pytest.raises(ValueError):
-            radial_moment("mod-exp2", PI, 2)
-        with pytest.raises(ValueError):
-            radial_moment("mod-poly", 1.0, -1)
+            radial_moment(SpaceWeight.mod_exp2(PI), 2)
+        for space in (SpaceWeight.mod_poly(1.0), SpaceWeight.mod_exp(1.0)):
+            with pytest.raises(ValueError, match="moment index"):
+                radial_moment(space, -1)
+        f = HermiteExpansion.unit(0)
+        for space in (SpaceWeight.polynomial(1.0), SpaceWeight.exponential(1.0, 1.0)):
+            with pytest.raises(ValueError, match="mod-\\* weight"):
+                radial_moment(space, 2)
+            with pytest.raises(ValueError, match="mod-\\* weight"):
+                modulation_norm_sq(space, HermiteExpansion(np.zeros(3)))
+            with pytest.raises(ValueError, match="mod-\\* weight"):
+                stft_grid_norm_sq(space, f)
+
+    @pytest.mark.parametrize("t", [1.25, 3.0, 50.0 / 49.0])
+    def test_mod_exp2_moment_is_the_weight(self, t):
+        # the moment of a geometric(t) weight is t^(k+1) at the t it keeps
+        space = SpaceWeight.geometric(t)
+        for k in range(41):
+            assert radial_moment(space, k) == lambda_of(space, k)
+            assert radial_moment(space, k) == pytest.approx(t ** (k + 1), rel=1e-14)
 
 
 class TestModulationNorm:
     def test_exact_geometric_identity(self):
         for t in (1.25, 50.0 / 49.0):
-            s = PI * (1.0 - 1.0 / t)
             for k in (0, 1, 7, 15):
                 f = HermiteExpansion.unit(k)
-                assert modulation_norm_sq("mod-exp2", s, f) == pytest.approx(
+                assert modulation_norm_sq(SpaceWeight.geometric(t), f) == pytest.approx(
                     t ** (k + 1), rel=1e-12
                 )
 
     def test_s0_unitary(self):
         f = HermiteExpansion.unit(0)
-        assert modulation_norm_sq("mod-poly", 0.0, f) == pytest.approx(1.0, rel=1e-14)
+        assert modulation_norm_sq(SpaceWeight.mod_poly(0.0), f) == pytest.approx(1.0, rel=1e-14)
 
     def test_poly_s1_h2(self):
         f = HermiteExpansion.unit(2)
-        assert modulation_norm_sq("mod-poly", 1.0, f) == pytest.approx(
+        assert modulation_norm_sq(SpaceWeight.mod_poly(1.0), f) == pytest.approx(
             1.0 + 3.0 / PI, rel=1e-13
         )
 
     def test_requires_alpha2(self):
         f = HermiteExpansion(np.array([1.0]), alpha=4.0)
         with pytest.raises(ValueError):
-            modulation_norm_sq("mod-poly", 1.0, f)
+            modulation_norm_sq(SpaceWeight.mod_poly(1.0), f)
 
     def test_poly_ratio_interval(self):
         # ||h_k||^2 / (1+k)^s confined to an interval of width <= 4
         for s in (1.0, 2.0):
             k = np.arange(0, 201)
-            moments = np.array([radial_moment("mod-poly", s, int(kk)) for kk in k])
+            moments = np.array([radial_moment(SpaceWeight.mod_poly(s), int(kk)) for kk in k])
             ratio = moments / (1.0 + k) ** s
             assert ratio.min() > 0.05
             assert ratio.max() - ratio.min() <= 4.0
@@ -316,7 +371,7 @@ class TestModulationNorm:
         s = 1.0
         ratios = []
         for k in (10, 25, 50, 100, 200, 400):
-            mom = radial_moment("mod-exp", s, k)
+            mom = radial_moment(SpaceWeight.mod_exp(s), k)
             ratios.append(mom * math.exp(-s / math.sqrt(PI) * math.sqrt(k)))
         assert max(ratios) / min(ratios) < 1.5
         assert 0.8 < min(ratios) <= max(ratios) < 1.5
@@ -326,19 +381,19 @@ class TestGridNorm:
     def test_h1_geometric(self):
         s = PI * (1.0 - 0.8)
         f = HermiteExpansion.unit(1)
-        got = stft_grid_norm_sq("mod-exp2", s, f)
+        got = stft_grid_norm_sq(SpaceWeight.mod_exp2(s), f)
         assert got == pytest.approx(1.25 ** 2, rel=1e-4)
 
     def test_h0_unitary(self):
         f = HermiteExpansion.unit(0)
-        assert stft_grid_norm_sq("mod-poly", 0.0, f) == pytest.approx(1.0, rel=1e-6)
+        assert stft_grid_norm_sq(SpaceWeight.mod_poly(0.0), f) == pytest.approx(1.0, rel=1e-6)
 
     def test_matches_diagonal_two_term(self):
         c = np.zeros(4)
         c[0] = c[3] = 1.0 / math.sqrt(2.0)
         f = HermiteExpansion(c)
-        got = stft_grid_norm_sq("mod-poly", 1.0, f)
-        ref = modulation_norm_sq("mod-poly", 1.0, f)
+        got = stft_grid_norm_sq(SpaceWeight.mod_poly(1.0), f)
+        ref = modulation_norm_sq(SpaceWeight.mod_poly(1.0), f)
         assert got == pytest.approx(ref, rel=1e-4)
 
     def test_matches_diagonal_random_expansion(self):
@@ -347,11 +402,12 @@ class TestGridNorm:
         c /= math.sqrt(float(np.sum(c * c)))
         f = HermiteExpansion(c)
         for kind, s in (("mod-poly", 2.0), ("mod-exp", 0.5), ("mod-exp2", PI / 5)):
-            got = stft_grid_norm_sq(kind, s, f)
-            ref = modulation_norm_sq(kind, s, f)
+            space = SpaceWeight(kind, s=s)
+            got = stft_grid_norm_sq(space, f)
+            ref = modulation_norm_sq(space, f)
             assert got == pytest.approx(ref, rel=1e-4)
 
     def test_grid_insufficient(self):
         f = HermiteExpansion.unit(6)
         with pytest.raises(GridInsufficientError):
-            stft_grid_norm_sq("mod-poly", 1.0, f, GridSpec(radius=1.0))
+            stft_grid_norm_sq(SpaceWeight.mod_poly(1.0), f, GridSpec(radius=1.0))

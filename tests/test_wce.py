@@ -440,6 +440,15 @@ class TestSeriesTruncation:
             with pytest.raises(ValueError, match="tol must be > 0"):
                 series_truncation(space, 10, tol, 2.0)
 
+    def test_tol_of_one_or_more_is_rejected(self):
+        # a tail as large as the first retained term bounds nothing: the
+        # index fell below start and every rule read as exact
+        space = SpaceWeight.mod_exp(1.0)
+        for tol in (1.0, 1e10, math.inf):
+            with pytest.raises(ValueError, match="tol must be below 1"):
+                series_truncation(space, 10, tol, 2.0)
+        assert series_truncation(space, 10, 0.5, 2.0) >= 9
+
     def test_unbounded_tail_names_the_callers_tol_and_start(self):
         # the internal target is tol times the first envelope term (here
         # 3.9e-17); the error names the tol and start it was given
@@ -664,6 +673,18 @@ class TestExactSums:
         assert math.isnan(sums.rounded(1))
         assert math.isnan(sums.rounded(2))  # inf - inf, as numpy's sum gives it
         assert sums.rounded(3) == 2.0**-1073
+
+    def test_extremes_of_the_double_range(self):
+        # the largest double and the smallest subnormal reach the top and the
+        # bottom column of the fixed span, in one fold and across folds
+        big, tiny = np.finfo(float).max, 2.0**-1074
+        rows = [[big, -big / 2, tiny], [tiny, -tiny, 1.0], [-big, tiny, big / 3]]
+        sums = _ExactSums(3)
+        sums.fold([(r, np.array(v)) for r, v in enumerate(rows)])
+        sums.fold([(1, np.array([big / 4, tiny]))])
+        rows[1] += [big / 4, tiny]
+        for r, v in enumerate(rows):
+            assert sums.rounded(r) == math.fsum(v)
 
 
 class TestWCETable:
