@@ -18,7 +18,10 @@ converges fast.  The normalization c0 has a closed form for every alpha
 The recurrence runs in one place, ``_sweep``, which yields the values in
 blocks of a bounded number of bytes; the Gram check of a built basis sums
 over point chunks bounded in bytes too, so neither holds a matrix of every
-mode at every point.
+mode at every point.  A step is four ufunc calls on a row of nodes, and on
+a few hundred nodes their cost is per-call overhead: numpy converts a float
+scalar operand on every call, so the step takes its coefficients as rows of
+a stride-0 view of the coefficient array instead.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import gamma, roots_legendre
 
 from .errors import CapacityError, ConvergenceError
@@ -288,14 +292,19 @@ def _sweep(basis: FreudBasis, x, stop: int, block: int | None = None):
     functions, run once from h_0 = c0 * W(x) for an array ``x`` of any
     shape with at least one axis.  ``H`` has shape ``(b, *x.shape)`` with
     ``H[j] = h_{k0+j}(x)`` and ``b <= block``; every block is a fresh array
-    that the caller may keep or overwrite.
-    By default a block holds at most ``_SWEEP_BYTES`` of values (about 1 000
-    modes on 130 nodes, 130 modes on 1 000), so a consumer that reads the
-    blocks as they come holds no (stop+1) x x.size matrix.
+    that the caller may keep or overwrite, and the generator keeps no
+    reference to a block it has yielded, so a caller that drops a block
+    frees it.  By default a block holds at most ``_SWEEP_BYTES`` of values
+    (about 1 000 modes on 130 nodes, 130 modes on 1 000), so a consumer that
+    reads the blocks as they come holds no (stop+1) x x.size matrix.
 
     Each step h_{k+1} = (x h_k - a_k h_{k-1}) / a_{k+1} runs as the four
     elementwise operations of that expression, in its order, written into
-    the output row and one scratch row, so a mode allocates nothing.
+    the output row and one scratch row, so a mode allocates nothing.  On a
+    few hundred nodes a step costs the calls' overhead, not their
+    arithmetic, and numpy converts a float scalar operand on every call; so
+    a_k comes as a row of one read-only view of the coefficients with
+    stride 0 along x, which a call takes as it is.
     """
     if stop > basis.n_max:
         raise CapacityError(
@@ -306,28 +315,31 @@ def _sweep(basis: FreudBasis, x, stop: int, block: int | None = None):
     if block is None:
         block = max(1, _SWEEP_BYTES // (8 * max(x.size, 1)))
     a = np.concatenate(([0.0, 0.0], basis.coeffs[:stop]))  # a[k + 1] = a_k
-    # on a few hundred nodes the cost is the per-call overhead: np.float64
-    # coefficients are not converted on every call, and the ufuncs are local
-    mul, sub, div = np.multiply, np.subtract, np.divide
-    h_prev = np.zeros(x.shape)  # h_{-1}
+    # rows[k + 1] is a_k at every point of x
+    rows = as_strided(
+        a, (a.size, *x.shape), (a.itemsize, *(0,) * x.ndim), writeable=False
+    )
+    mul, sub, div = np.multiply, np.subtract, np.divide  # local: called per mode
+    h_prev, h_cur = np.zeros(x.shape), basis.c0 * weight_value(basis.alpha, x)
     t = np.empty(x.shape)
     for k0 in range(0, stop + 1, block):
         H = np.empty((min(block, stop + 1 - k0), *x.shape))
-        ak = list(a[k0:k0 + len(H) + 1])  # a_{k-1}, a_k at ak[j], ak[j+1], k = k0+j
-        for k, h, a_prev, a_cur in zip(range(k0, stop + 1), H, ak, ak[1:]):
-            if k == 0:
-                h[...] = basis.c0 * weight_value(basis.alpha, x)
-            else:
-                mul(x, h_cur, h)
-                mul(a_prev, h_prev, t)
-                sub(h, t, h)
-                div(h, a_cur, h)
-                h_prev = h_cur
-            h_cur = h
+        if k0 == 0:
+            H[0] = h_cur  # h_0 starts the recurrence; h_1 is its first step
+        k = max(k0, 1)  # the block's first step
+        a_prev = rows[k]  # h_k takes a_{k-1} = rows[k] and a_k = rows[k + 1]
+        for h, a_cur in zip(H[k - k0:], rows[k + 1:k0 + len(H) + 1]):
+            mul(x, h_cur, h)
+            mul(a_prev, h_prev, t)
+            sub(h, t, h)
+            div(h, a_cur, h)
+            h_prev, h_cur, a_prev = h_cur, h, a_cur
         # the next block recurs on copies, so the caller may overwrite H
         h_prev, h_cur = h_prev.copy(), h_cur.copy()
-        yield k0, H
-        del H, h  # a caller done with the block frees it before the next
+        # no name here holds H (or its row h) past the yield, so a caller
+        # that drops the block frees it
+        out, H, h = [H], None, None
+        yield k0, out.pop()
 
 
 def basis_matrix(basis: FreudBasis, x, n: int) -> np.ndarray:

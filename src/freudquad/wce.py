@@ -266,7 +266,7 @@ def _wce_series_rows(
             e *= e
             e /= lam[k0 + lo - k_lo:k0 + hi - k_lo]
             block.append((row, e))
-        del H  # freed before the fold
+        del H  # the sweep keeps no reference, so the block is freed before the fold
         sums.fold(block)
     for row, (slot, *_) in enumerate(live):
         results[slot] = sums.rounded(row)
@@ -355,14 +355,6 @@ class _ExactSums:
         j = np.flatnonzero(self.bits[row])
         n = sum(map(operator.lshift, self.bits[row, j].tolist(), j.tolist()))
         return n / (1 << _UNIT_SHIFT)
-
-
-def _exact_sum(v) -> float:
-    """The sum of the floats in ``v``, exact and rounded once half-even:
-    ``math.fsum``'s value (see ``_ExactSums``)."""
-    sums = _ExactSums(1)
-    sums.fold([(0, np.asarray(v, dtype=float))])
-    return sums.rounded(0)
 
 
 def series_truncation(

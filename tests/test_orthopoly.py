@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -504,6 +505,23 @@ class TestSweep:
             assert np.array_equal(
                 basis_matrix(basis, self.XS, 40), _loop_matrix(basis, self.XS, 40)
             )
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_blocks_match_loop(self, basis2, basis4, block):
+        # each block boundary recurs on the carried rows and coefficients
+        for basis in (basis2, basis4):
+            got = self._blocks(basis, self.XS, 40, block)
+            assert np.array_equal(got, _loop_matrix(basis, self.XS, 40))
+
+    def test_dropped_block_is_freed(self, basis2_deep):
+        # the generator keeps no reference to a block it has yielded
+        blocks = 0
+        for _, H in _sweep(basis2_deep, np.linspace(-10.0, 10.0, 130), 5000):
+            ref = weakref.ref(H)
+            del H
+            assert ref() is None
+            blocks += 1
+        assert blocks > 1
 
     def test_long_sweep_matches_loop(self, basis2_deep):
         # 0, negative points, and x = 16 where h_0 = c0 exp(-256 pi) underflows

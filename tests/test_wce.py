@@ -28,7 +28,7 @@ from freudquad import (
 import freudquad.wce as wce_mod
 from freudquad.experiments import _shifted_rule
 from freudquad.orthopoly import _SWEEP_BYTES
-from freudquad.wce import _ExactSums, _exact_sum, _wce_series_rows, series_truncation
+from freudquad.wce import _ExactSums, _wce_series_rows, series_truncation
 
 
 def me2_reference(nodes, omega, t, dps=40):
@@ -583,20 +583,28 @@ class TestSlopeFit:
         assert got_intercept == pytest.approx(intercept, abs=1e-9)
 
 
+def _row_sum(v) -> float:
+    """The sum of ``v`` as one row of ``_ExactSums``."""
+    sums = _ExactSums(1)
+    sums.fold([(0, np.asarray(v, dtype=float))])
+    return sums.rounded(0)
+
+
 class TestExactSum:
-    """``_exact_sum`` is correctly rounded, so it returns math.fsum's bits."""
+    """One row of ``_ExactSums`` is correctly rounded, so it returns
+    math.fsum's bits."""
 
     # bounded so that 60 terms cannot overflow (test_overflow_raises_as_fsum_does)
     @given(st.lists(st.floats(min_value=0.0, max_value=1e300), max_size=60))
     @settings(max_examples=300, deadline=None)
     def test_nonnegative_matches_fsum(self, values):
-        got = _exact_sum(np.array(values, dtype=float))
+        got = _row_sum(np.array(values, dtype=float))
         assert got.hex() == math.fsum(values).hex()
 
     @given(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=60))
     @settings(max_examples=300, deadline=None)
     def test_signed_matches_fsum(self, values):
-        got = _exact_sum(np.array(values, dtype=float))
+        got = _row_sum(np.array(values, dtype=float))
         assert got == math.fsum(values)
 
     @pytest.mark.parametrize(
@@ -613,35 +621,35 @@ class TestExactSum:
         ],
     )
     def test_rounds_once_half_even(self, values, expected):
-        assert _exact_sum(np.array(values)) == expected == math.fsum(values)
+        assert _row_sum(np.array(values)) == expected == math.fsum(values)
 
     def test_zeros_and_empty(self):
-        assert _exact_sum(np.zeros(5)) == 0.0
-        assert _exact_sum(np.array([])) == 0.0
+        assert _row_sum(np.zeros(5)) == 0.0
+        assert _row_sum(np.array([])) == 0.0
 
     def test_more_terms_than_one_limb_holds(self):
         # every limb all ones: each per-exponent limb sum passes 2**36
         n = 2**18 + 3
         top = np.nextafter(2.0, 0.0)
-        assert _exact_sum(np.full(n, top)) == math.fsum([top] * n)
+        assert _row_sum(np.full(n, top)) == math.fsum([top] * n)
         rng = np.random.default_rng(5)
         v = rng.integers(2**52, 2**53, n) * 2.0 ** rng.integers(-60, 0, n)
-        assert _exact_sum(v) == math.fsum(v)
+        assert _row_sum(v) == math.fsum(v)
 
     def test_non_finite(self):
-        assert _exact_sum(np.array([1.0, math.inf])) == math.inf
-        assert math.isnan(_exact_sum(np.array([1.0, math.nan])))
+        assert _row_sum(np.array([1.0, math.inf])) == math.inf
+        assert math.isnan(_row_sum(np.array([1.0, math.nan])))
         with np.errstate(invalid="raise"):
-            assert math.isnan(_exact_sum(np.array([math.inf, -math.inf])))
+            assert math.isnan(_row_sum(np.array([math.inf, -math.inf])))
 
     def test_overflow_raises_as_fsum_does(self):
         with pytest.raises(OverflowError):
-            _exact_sum(np.array([1e308, 1e308]))
+            _row_sum(np.array([1e308, 1e308]))
 
     def test_returns_a_python_float(self):
-        assert type(_exact_sum(np.array([1.0, 2.0]))) is float
-        assert type(_exact_sum(np.array([2.0**60, 2.0**61]))) is float
-        assert type(_exact_sum(np.array([math.inf]))) is float
+        assert type(_row_sum(np.array([1.0, 2.0]))) is float
+        assert type(_row_sum(np.array([2.0**60, 2.0**61]))) is float
+        assert type(_row_sum(np.array([math.inf]))) is float
 
 
 class TestExactSums:
