@@ -1,15 +1,15 @@
 """Gauss rules for the integration functional f -> integral of f*W.
 
-Nodes are the zeros of h_n, obtained as eigenvalues of the symmetric
-tridiagonal Jacobi matrix built from the recurrence coefficients and then
-polished by one Newton step on h_n.  The quadrature weight at a node is
-omega(x) = Lambda_n(x) * W(x), where Lambda_n is the reciprocal of the
-squared partial sum of the basis; tau(x) = Lambda_n(x) is kept alongside
-because it is the natural discrete weight for the sampling inequalities.
-
-Both the Newton step and tau read h_0..h_n block by block from the basis
-sweep, so an n-node rule holds about a megabyte of basis values however
-large n is, never the (n+1) x n matrix.
+Nodes are the zeros of h_n: eigenvalues of the symmetric tridiagonal Jacobi
+matrix, polished by one Newton step on h_n.  The weight at a node is
+omega(x) = tau(x) W(x), with tau = Lambda_n = 1 / sum_{k<=n} h_k^2 the
+Christoffel function, kept as the discrete weight of the sampling
+inequalities.  The step needs h_n', which the confluent Christoffel-Darboux
+identity sum_{k<n} h_k^2 = a_n (h_n' h_{n-1} - h_{n-1}' h_n) gives (its W
+factors cancel, so it holds for the weighted functions at every alpha).
+Step and tau are each one ``_christoffel`` pass over the blocks of the
+basis sweep, so a rule holds about a megabyte of basis values however large
+n is, never the (n+1) x n matrix.
 """
 
 from __future__ import annotations
@@ -42,25 +42,23 @@ class QuadratureRule:
             arr.setflags(write=False)
 
 
-def _newton_polish(basis: FreudBasis, n: int, x: np.ndarray) -> np.ndarray:
-    """One Newton step on h_n, with h_0..h_n streamed from ``_sweep`` and h'
-    from the differentiated recurrence
-    h'_{k+1} = (h_k + x h'_k - a_k h'_{k-1}) / a_{k+1}."""
-    a = basis.coeffs
-    # W'(x) = -pi*alpha*|x|^(alpha-1)*sign(x) * W(x); continuous for alpha > 1
-    dlogW = -math.pi * basis.alpha * np.abs(x) ** (basis.alpha - 1.0) * np.sign(x)
-    d_prev = np.zeros_like(x)
-    for k0, H in _sweep(basis, x, n):
-        for k, h in enumerate(H, k0):
-            if k == 0:
-                d_cur = h * dlogW
-            if k < n:
-                am = a[k - 1] if k >= 1 else 0.0
-                d_prev, d_cur = d_cur, (h + x * d_cur - am * d_prev) / a[k]
-    safe = np.abs(d_cur) > 0
-    step = np.zeros_like(x)
-    step[safe] = h[safe] / d_cur[safe]  # h = h_n, the last row swept
-    return x - step
+def _christoffel(basis: FreudBasis, x: np.ndarray, n: int):
+    """``(sum_{k<=n} h_k^2, h_{n-1}, h_n)`` at x, squares added in k order.
+
+    At a zero of h_n the identity gives h_n / h_n' = a_n h_n h_{n-1} / sum.
+    The step is below the eigenvalue's own rounding, so how h_n' rounds does
+    not reach the node: the nodes are those of a step through the
+    differentiated recurrence, bit for bit.  h_{n-1} and h_n, which may sit
+    in two blocks, are copied before a block is squared in place.
+    """
+    norm_sq, h_cur = np.zeros_like(x), None
+    for _, H in _sweep(basis, x, n):
+        h_prev = H[-2].copy() if len(H) > 1 else h_cur
+        h_cur = H[-1].copy()
+        H *= H
+        for h_sq in H:
+            norm_sq += h_sq
+    return norm_sq, h_prev, h_cur
 
 
 def gauss_rule(basis: FreudBasis, n: int) -> QuadratureRule:
@@ -72,27 +70,17 @@ def gauss_rule(basis: FreudBasis, n: int) -> QuadratureRule:
             f"rule of order {n} needs basis capacity {n + 1}, have {basis.n_max}",
             required=n + 1,
         )
-    if n == 1:
-        nodes = np.zeros(1)
-    else:
-        try:
-            nodes = eigh_tridiagonal(
-                np.zeros(n), basis.coeffs[: n - 1], eigvals_only=True
-            )
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
-        nodes = np.sort(nodes)
-        nodes = _newton_polish(basis, n, nodes)
-        # even weight => spectrum is symmetric; enforce it exactly
-        nodes = 0.5 * (nodes - nodes[::-1])
-    # tau = 1 / sum_k h_k^2 over k <= n (h_n vanishes at its zeros), added
-    # row by row in k order, the order of np.sum(H * H, axis=0)
-    norm_sq = np.zeros_like(nodes)
-    for _, H in _sweep(basis, nodes, n):
-        H *= H
-        for h_sq in H:
-            norm_sq += h_sq
-    tau = 1.0 / norm_sq
+    try:
+        nodes = np.sort(eigh_tridiagonal(np.zeros(n), basis.coeffs[: n - 1],
+                                         eigvals_only=True))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+    # Newton on h_n; no step where h_0 underflows, zeroing every h_k and the sum
+    norm_sq, h_prev, h_n = _christoffel(basis, nodes, n)
+    nodes -= np.divide(basis.coeffs[n - 1] * h_n * h_prev, norm_sq,
+                       out=np.zeros(n), where=norm_sq > 0)
+    nodes = 0.5 * (nodes - nodes[::-1])  # even weight: symmetric spectrum
+    tau = 1.0 / _christoffel(basis, nodes, n)[0]  # h_n vanishes at its zeros
     omega = tau * weight_value(basis.alpha, nodes)
     return QuadratureRule(basis.alpha, n, nodes, omega, tau)
 

@@ -44,8 +44,8 @@ def mehler(t: float, x, y):
     -pi ((t^2+1)(x-y)^2 + 2(t-1)^2 x y) / (t^2-1), which avoids the
     cancellation of two large terms for t near 1.
     """
-    if t <= 1:
-        raise ValueError(f"kernel parameter must exceed 1, got t={t}")
+    if not 1 < t < math.inf:
+        raise ValueError(f"kernel parameter must be finite and exceed 1, got t={t}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     pref = math.sqrt(2.0 / (t * t - 1.0))

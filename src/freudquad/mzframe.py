@@ -136,8 +136,8 @@ def perturb_nodes(
     experiments use at magnitudes comparable to the node spacing;
     coincident perturbed nodes still raise.
     """
-    if eps_mag < 0:
-        raise ValueError("perturbation magnitude must be >= 0")
+    if not 0 <= eps_mag < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps_mag}")
     sg = _signs(sign_mode, rule.nodes.size, seed)
     if rule.nodes.size > 1:
         min_gap = float(np.min(np.diff(rule.nodes)))
@@ -156,8 +156,8 @@ def support_check(nodes, alpha: float, n: int, L: float = 3.0) -> bool:
     """True iff max |node| <= m_{n,alpha} (1 + L n^{-2/3})."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if L <= 0:
-        raise ValueError("L must be > 0")
+    if not 0 < L < math.inf:
+        raise ValueError(f"L must be finite and > 0, got {L}")
     limit = mrs_number(alpha, n) * (1.0 + L * n ** (-2.0 / 3.0))
     return bool(np.max(np.abs(np.asarray(nodes, dtype=float))) <= limit)
 

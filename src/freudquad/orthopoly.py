@@ -60,8 +60,8 @@ def weight_value(alpha: float, x):
 
     ``x`` may be a scalar or an array.
     """
-    if alpha <= 1:
-        raise ValueError(f"weight exponent must exceed 1, got alpha={alpha}")
+    if not 1 < alpha < math.inf:
+        raise ValueError(f"weight exponent must be finite and > 1, got alpha={alpha}")
     return np.exp(-math.pi * np.abs(x) ** alpha)
 
 
@@ -73,8 +73,8 @@ def mrs_number(alpha: float, n: int) -> float:
     Weighted polynomials of degree n are exponentially small outside
     [-m_n, m_n]; all reference-quadrature supports are sized from it.
     """
-    if alpha <= 1:
-        raise ValueError(f"weight exponent must exceed 1, got alpha={alpha}")
+    if not 1 < alpha < math.inf:
+        raise ValueError(f"weight exponent must be finite and > 1, got alpha={alpha}")
     if n < 1:
         raise ValueError(f"degree must be >= 1, got n={n}")
     const = (gamma(alpha / 2.0) ** 2 / (4.0 * gamma(alpha))) ** (1.0 / alpha)
@@ -247,8 +247,8 @@ def build_basis(alpha: float, n_max: int) -> FreudBasis:
     (relative), and the result is checked for orthonormality on a finer
     grid than the one that produced it.
     """
-    if alpha <= 1:
-        raise ValueError(f"weight exponent must exceed 1, got alpha={alpha}")
+    if not 1 < alpha < math.inf:
+        raise ValueError(f"weight exponent must be finite and > 1, got alpha={alpha}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
 

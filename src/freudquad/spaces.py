@@ -78,11 +78,11 @@ class SpaceWeight:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
         if self.kind == "exp":
-            if self.p is None or self.q is None or self.p <= 0 or self.q <= 0:
-                raise ValueError("exp weights need p > 0 and q > 0")
-        elif self.s is None or self.s < 0:
-            raise ValueError(f"{self.kind} weights need s >= 0")
-        elif self.kind == "mod-exp2" and self.s >= math.pi:
+            if not all(v is not None and 0 < v < math.inf for v in (self.p, self.q)):
+                raise ValueError("exp weights need finite p > 0 and q > 0")
+        elif self.s is None or not 0 <= self.s < math.inf:
+            raise ValueError(f"{self.kind} weights need s >= 0 and finite")
+        elif self.kind == "mod-exp2" and not self.s < math.pi:
             raise ValueError("mod-exp2 needs 0 <= s < pi")
         if self.kind != "mod-exp2" and self._t is not None:
             raise ValueError(f"a ratio t applies only to mod-exp2, not {self.kind!r}")
@@ -113,8 +113,8 @@ class SpaceWeight:
     @classmethod
     def geometric(cls, t: float) -> "SpaceWeight":
         """The mod-exp2 weight t^(k+1), keeping t as given."""
-        if not t > 1:
-            raise ValueError(f"geometric decay needs t > 1, got t={t}")
+        if not 1 < t < math.inf:
+            raise ValueError(f"geometric decay needs t > 1 and finite, got t={t}")
         return cls("mod-exp2", s=math.pi * (1.0 - 1.0 / t), _t=float(t))
 
     @classmethod

@@ -98,8 +98,8 @@ def wce_me2(nodes, omega, t: float) -> float:
     digits left means a new pass at max(ceil(L) + 30, 2 dps) digits, until
     24 are left.
     """
-    if t <= 1:
-        raise ValueError(f"kernel parameter must exceed 1, got t={t}")
+    if not 1 < t < math.inf:
+        raise ValueError(f"kernel parameter must be finite and exceed 1, got t={t}")
     nodes = np.asarray(nodes, dtype=float)
     omega = np.asarray(omega, dtype=float)
     if nodes.size == 0:

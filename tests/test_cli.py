@@ -6,8 +6,8 @@ import pytest
 
 import freudquad.cli as cli
 from freudquad import (
-    SpaceWeight, build_basis, gauss_rule, run_figure, slope_fit, tensor_wce, wce_me2,
-    wce_series,
+    SpaceWeight, build_basis, gauss_rule, mehler, mrs_number, perturb_nodes, run_figure,
+    slope_fit, support_check, tensor_wce, wce_me2, wce_series, weight_value,
 )
 from freudquad.cli import main
 
@@ -422,6 +422,55 @@ class TestValidation:
         code, _, err = run_cli(capsys, "nodes", "--alpha", "0.5", "--n", "3")
         assert code == 1
         assert "error" in err.lower()
+
+    @pytest.mark.parametrize("command", [
+        "wce --space hs --s nan",
+        "wce --space hs --s inf",
+        "wce --space mse2 --s nan",
+        "wce --space mse --s nan",
+        "wce --space epq --p 1 --q nan",
+        "wce --space mse2 --t inf",
+        "coeffs --alpha nan --n 5",
+        "coeffs --alpha inf --n 5",
+        "nodes --alpha inf --n 3",
+        "perturb --n 20 --eps nan",
+        "perturb --n 20 --eps 0.01 --L nan",
+        "perturb --n 20 --eps 0.01 --L inf",
+    ])
+    def test_non_finite_parameter_exits_one(self, capsys, command):
+        # these printed NaN rows or support_ok,False with exit 0, or failed
+        # with exit 2 after a Stieltjes build or a perturbation
+        code, out, err = run_cli(capsys, *command.split())
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize("call", [
+        lambda: SpaceWeight.polynomial(math.nan),
+        lambda: SpaceWeight.mod_exp2(math.inf),
+        lambda: SpaceWeight.exponential(math.inf, 1.0),
+        lambda: SpaceWeight.geometric(math.inf),
+        lambda: build_basis(math.nan, 5),
+        lambda: weight_value(math.inf, 0.0),
+        lambda: mrs_number(math.nan, 5),
+        lambda: perturb_nodes(gauss_rule(build_basis(2.0, 6), 5), math.nan),
+        lambda: support_check([0.0], 2.0, 5, L=math.nan),
+        lambda: wce_me2([0.0], [1.0], math.nan),
+        lambda: mehler(math.nan, 0.0, 0.0),
+        lambda: mehler(math.inf, 0.0, 0.0),
+    ])
+    def test_non_finite_parameter_raises(self, call):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+    @pytest.mark.parametrize("eps", ["-0.1", "nan", "inf"])
+    def test_bad_figure_eps_exits_one(self, capsys, eps):
+        # each row's ValueError went into params["failures"]: a header-only
+        # table with exit 0
+        code, out, err = run_cli(capsys, "figure", "fig3a", "--eps", eps)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: eps must be finite and >= 0, got {float(eps)}\n"
 
     def test_unknown_figure_id_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

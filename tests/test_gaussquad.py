@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import freudquad.orthopoly as orthopoly
 from freudquad import (
     CapacityError,
     EvaluationFailure,
@@ -53,6 +54,8 @@ class TestStreamedGaussRule:
         (4.0, range(1, 61)),
         (1.8, range(1, 61)),
         (2.0, (700, 800, 1000)),  # NaN weights at 800 and 1000 (ROADMAP item 4)
+        (1.5, range(1, 40)),
+        (6.0, range(1, 61)),
     ])
     def test_same_bits_as_the_matrix_formulation(self, alpha, ns):
         basis = build_basis(alpha, max(ns) + 1)
@@ -62,6 +65,18 @@ class TestStreamedGaussRule:
                 ref = _matrix_gauss_rule(basis, n)
                 for got, want in zip((rule.nodes, rule.omega, rule.tau), ref):
                     assert np.array_equal(got, want, equal_nan=True), n
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [2.0, 4.0, 1.8])
+    def test_same_bits_at_block_boundaries(self, monkeypatch, alpha, rows):
+        # blocks of `rows` rows put h_{n-1} and h_n in two blocks for some n
+        basis = build_basis(alpha, 41)
+        for n in range(2, 41):
+            monkeypatch.setattr(orthopoly, "_SWEEP_BYTES", 8 * n * rows)
+            rule = gauss_rule(basis, n)
+            ref = _matrix_gauss_rule(basis, n)
+            for got, want in zip((rule.nodes, rule.omega, rule.tau), ref):
+                assert np.array_equal(got, want), n
 
     def test_holds_no_basis_matrix(self):
         n = 1000
