@@ -17,11 +17,15 @@ converges fast.  The normalization c0 has a closed form for every alpha
 
 The recurrence runs in one place, ``_sweep``, which yields the values in
 blocks of a bounded number of bytes; the Gram check of a built basis sums
-over point chunks bounded in bytes too, so neither holds a matrix of every
-mode at every point.  A step is four ufunc calls on a row of nodes, and on
-a few hundred nodes their cost is per-call overhead: numpy converts a float
-scalar operand on every call, so the step takes its coefficients as rows of
-a stride-0 view of the coefficient array instead.
+over point chunks sized so that a chunk, the Gram blocks and a block product
+together stay within 8 MiB, so neither holds a matrix of every mode at every
+point.  Before its products the check sets values below 2^-511 to 0: that
+moves no entry by more than about 1e-148 and leaves no subnormal product,
+which would cost the CPU a slow microcode assist each.  A step of the
+recurrence is four ufunc calls on a row of nodes, and on a few hundred nodes
+their cost is per-call overhead: numpy converts a float scalar operand on
+every call, so the step takes its coefficients as rows of a stride-0 view of
+the coefficient array instead.
 """
 
 from __future__ import annotations
@@ -175,7 +179,18 @@ def _stieltjes_pass(alpha: float, n_max: int, x, w):
     return c0, a
 
 
-_GRAM_BYTES = 8 << 20  # basis values per Gram update in _verify_orthonormality
+_GRAM_BYTES = 8 << 20  # all that _verify_orthonormality holds at a time
+_TINY = 2.0 ** -511  # below it a product of two values is subnormal
+
+
+def _flush_tiny(H) -> None:
+    """Set every value of the C-contiguous ``H`` below ``_TINY`` in magnitude
+    to 0, in place and ``_SWEEP_BYTES`` of values at a time; NaN stays."""
+    flat = H.reshape(-1)  # a view
+    step = _SWEEP_BYTES // 8
+    for j in range(0, flat.size, step):
+        part = flat[j:j + step]
+        part[np.abs(part) < _TINY] = 0.0
 
 
 def _verify_orthonormality(basis: FreudBasis, x, w, tol: float) -> float:
@@ -195,13 +210,25 @@ def _verify_orthonormality(basis: FreudBasis, x, w, tol: float) -> float:
     (n+1)^2 Gram matrix is checked as its even-even and odd-odd blocks, each
     accumulated over chunks of positive points as (sqrt(w) H)(sqrt(w) H)^T
     on the strided rows H[0::2] and H[1::2], which numpy sends to syrk
-    without a copy.  A chunk holds at most ``_GRAM_BYTES`` of basis values
-    (about 1 300 points at n = 800), and only one chunk is held at a time.
-    The combined root weight is hypot(sqrt(w(x)), sqrt(w(-x))), so a
-    negative or NaN weight on either half gives a NaN defect, which fails
-    the check.  Where h_0 = c0 * W underflows to 0 the recurrence makes every
-    h_k exactly 0 too, so those points add nothing to the Gram matrix and
-    are left out of it; only their weights are still checked for NaN.
+    without a copy.  ``_GRAM_BYTES`` (8 MiB) bounds all that is held at a
+    time: one chunk of basis values, the two blocks, and one block product
+    or the flush's scratch (below).  So a chunk shrinks as n grows (about
+    700 points at n = 800), but never below ``_SWEEP_BYTES`` of values; that
+    floor only applies past n = 1 100 or so, where the blocks alone fill the
+    budget.  The combined root weight is hypot(sqrt(w(x)), sqrt(w(-x))), so
+    a negative or NaN weight on either half gives a NaN defect, which fails
+    the check.  Where h_0 = c0 * W underflows to 0 the recurrence makes
+    every h_k exactly 0 too, so those points add nothing to the Gram matrix
+    and are left out of it; only their weights are still checked for NaN.
+
+    Next to those points the low modes, scaled by sqrt(w), fall below
+    2^-511, where the product of two values is subnormal: the CPU takes a
+    microcode assist for each, many times the cost of a normal product.  So
+    in a chunk whose h_0 row holds such a value, every value below 2^-511 in
+    magnitude is set to 0 before the products (``_flush_tiny``).  Every
+    product left is then of two values >= 2^-511, a normal number; a zeroed
+    value moves an entry by less than (points) * max|sqrt(w) h| * 2^-511,
+    about 1e-148; and NaN or inf fails the comparison and stays.
     """
     x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
     half = x.size // 2
@@ -216,12 +243,17 @@ def _verify_orthonormality(basis: FreudBasis, x, w, tol: float) -> float:
     dead_w = root_w[~live]
     xp, root_w = xp[live], root_w[live]
     n = basis.n_max
-    chunk = max(1, _GRAM_BYTES // (8 * (n + 1)))
     Ge = np.zeros((n // 2 + 1, n // 2 + 1))  # h_0, h_2, ...
     Go = np.zeros(((n + 1) // 2, (n + 1) // 2))  # h_1, h_3, ...
+    # besides the chunk: both blocks, then the larger of the product Ge
+    # takes and the flush's |values| and mask
+    held = Ge.nbytes + Go.nbytes + max(Ge.nbytes, _SWEEP_BYTES * 9 // 8)
+    chunk = max(1, max(_GRAM_BYTES - held, _SWEEP_BYTES) // (8 * (n + 1)))
     for i in range(0, xp.size, chunk):
         H = basis_matrix(basis, xp[i:i + chunk], n)
         H *= root_w[i:i + chunk]
+        if np.any(np.abs(H[0]) < _TINY):
+            _flush_tiny(H)
         He, Ho = H[0::2], H[1::2]
         Ge += He @ He.T
         Go += Ho @ Ho.T

@@ -398,10 +398,11 @@ def series_truncation(
 
 def wce_bound(phi: float, a_n: float) -> float:
     """Abstract sampling bound phi / a_n for the squared worst-case error."""
-    if a_n <= 0:
-        raise ValueError(f"lower sampling constant must be positive, got {a_n}")
-    if phi < 0:
-        raise ValueError(f"tail functional must be >= 0, got {phi}")
+    # written so that NaN fails the comparison
+    if not 0 < a_n < math.inf:
+        raise ValueError(f"lower sampling constant must be positive and finite, got {a_n}")
+    if not 0 <= phi < math.inf:
+        raise ValueError(f"tail functional must be >= 0 and finite, got {phi}")
     return phi / a_n
 
 
@@ -416,13 +417,16 @@ def tensor_wce(wce1_sq: float, c: float, lambda0: float, d: int) -> float:
     evaluated via expm1/log1p so the d=1 case returns w exactly and small
     w does not cancel away.
     """
-    if d < 1:
+    # written so that NaN fails the comparisons
+    if not 1 <= d < math.inf:
         raise ValueError(f"dimension must be >= 1, got d={d}")
-    if wce1_sq < 0:
-        raise ValueError("squared worst-case error must be >= 0")
-    if lambda0 <= 0 or c <= 0:
-        raise ValueError("c and lambda_0 must be positive")
+    if not 0 <= wce1_sq < math.inf:
+        raise ValueError(f"squared worst-case error must be >= 0 and finite, got {wce1_sq}")
+    if not (0 < c < math.inf and 0 < lambda0 < math.inf):
+        raise ValueError(f"c and lambda_0 must be positive and finite, got {c}, {lambda0}")
     base = c * c / lambda0
+    if not 0 < base < math.inf:
+        raise ValueError(f"c^2/lambda_0 = {base} is not a positive finite float")
     if wce1_sq == 0.0:
         return 0.0
     return float(base**d * math.expm1(d * math.log1p(wce1_sq / base)))
@@ -449,9 +453,10 @@ class WCETable:
 
     ``axis`` selects the abscissa of the least-squares fit: "n",
     "sqrt-n", or "log-n".  Rows with nonpositive error (tiny negatives
-    are clamped to zero and flagged) are excluded from the fit; with fewer
-    than two positive rows there is no fit, and ``slope`` and ``intercept``
-    are None.
+    are clamped to zero and flagged) or a non-finite abscissa (n = 0 on
+    "log-n") are excluded from the fit; with fewer than two rows left
+    there is no fit, and ``slope`` and ``intercept`` are None.  A NaN or
+    infinite error is a ``ValueError``.
     """
 
     params: dict
@@ -480,6 +485,8 @@ class WCETable:
         vals, clamped = [], []
         for n, v in zip(ns, values):
             v = float(v)
+            if not math.isfinite(v):
+                raise ValueError(f"worst-case error {v} at n={n} is not finite")
             if v < -1e-15:
                 raise ValueError(
                     f"worst-case error {v} at n={n} is negative beyond rounding"
@@ -488,8 +495,11 @@ class WCETable:
                 clamped.append(n)
                 v = 0.0
             vals.append(v)
-        xs = [_AXIS_MAPS[axis](n) for n, v in zip(ns, vals) if v > 0.0]
-        ys = [math.log10(v) for v in vals if v > 0.0]
+        with np.errstate(divide="ignore", invalid="ignore"):  # log10(0), say
+            xs = [_AXIS_MAPS[axis](n) for n in ns]
+        fit = [i for i, v in enumerate(vals) if v > 0.0 and math.isfinite(xs[i])]
+        xs = [xs[i] for i in fit]
+        ys = [math.log10(vals[i]) for i in fit]
         slope, intercept = slope_fit(xs, ys) if len(xs) >= 2 else (None, None)
         return cls(
             params=dict(params),

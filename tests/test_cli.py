@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 
 import freudquad.cli as cli
 from freudquad import (
-    SpaceWeight, build_basis, gauss_rule, mehler, mrs_number, perturb_nodes, run_figure,
+    SpaceWeight, WCETable, build_basis, gauss_rule, mehler, mrs_number, perturb_nodes, run_figure,
     slope_fit, support_check, tensor_wce, wce_me2, wce_series, weight_value,
 )
 from freudquad.cli import main
@@ -101,6 +102,25 @@ class TestFigure:
         code, _, _ = run_cli(capsys, "figure", "fig1a", "--out", str(tmp_path))
         payload = json.loads((tmp_path / "fig1a.json").read_text())
         assert payload["slope"] == pytest.approx(-0.35, abs=0.05)
+
+    def test_log_n_row_at_zero_is_left_out_of_the_fit(self, capsys):
+        # log10(0) = -inf must stay out of the fit: a NaN slope is no valid JSON
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "figure", "fig3b", "--n-range", "0:2", "--format", "json"
+            )
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"invalid JSON constant {name}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert [row[0] for row in payload["rows"]] == [0, 1, 2]
+        fitted = WCETable.from_rows({}, [1, 2], [v for _, v in payload["rows"][1:]],
+                                    axis="log-n")
+        assert payload["slope"] == fitted.slope
+        assert err == f"slope = {fitted.slope:.6f}\n"
 
 
 class TestWce:

@@ -415,6 +415,56 @@ class TestVerifyOrthonormality:
         peak = self._peak_over_chunks(4.0, 800, 512)
         assert peak < 1.5 * orthopoly._GRAM_BYTES
 
+    def test_budget_holds_the_gram_blocks_and_product(self):
+        # the chunk, both Gram blocks and one block product share the budget
+        # (a chunk of the whole budget next to them peaked at 1.47x)
+        peak = self._peak_over_chunks(4.0, 800, 512)
+        assert peak < 1.1 * orthopoly._GRAM_BYTES
+
+    @staticmethod
+    def _flushed_values(basis, x, w):
+        # sqrt(w) h_k on the live positive half, where the flush zeroes the
+        # nonzero values below 2^-511
+        half = x.size // 2
+        xp, wp = x[half:], w[half:] + w[half - 1::-1]
+        H = basis_matrix(basis, xp, basis.n_max) * np.sqrt(wp)
+        H = H[:, H[0] != 0]
+        return np.count_nonzero((np.abs(H) < 2.0 ** -511) & (H != 0))
+
+    @pytest.mark.parametrize("alpha, n_max", [(4.0, 200), (1.8, 100)])
+    def test_flushed_defect_matches_one_shot_gram(self, alpha, n_max):
+        basis = build_basis(alpha, n_max)
+        x, w, _ = _reference_grid(alpha, n_max, 256, 24)
+        assert self._flushed_values(basis, x, w) > 0
+        H = basis_matrix(basis, x, n_max)
+        one_shot = float(np.abs((H * w) @ H.T - np.eye(n_max + 1)).max())
+        got = _verify_orthonormality(basis, x, w, 1e-8)
+        assert abs(got - one_shot) <= 1e-15
+        assert got < 1e-12
+
+    def test_perturbed_last_coefficient_is_rejected_at_large_n(self):
+        basis = build_basis(4.0, 400)
+        x, w, _ = _reference_grid(4.0, 400, 512, 24)
+        assert self._flushed_values(basis, x, w) > 0
+        coeffs = basis.coeffs.copy()
+        coeffs[-1] *= 1.0 + 1e-6
+        bad = FreudBasis(basis.alpha, basis.c0, coeffs, basis.n_max)
+        with pytest.raises(ConvergenceError, match="orthonormality defect"):
+            _verify_orthonormality(bad, x, w, 1e-8)
+
+    def test_nan_weight_where_low_modes_are_flushed_is_rejected(self, quartic):
+        # h_0 is nonzero but below 2^-511 at that point, so the flush zeroes
+        # its low modes; the NaN its weight gives must survive the flush
+        basis, x, w = quartic
+        half = x.size // 2
+        h0 = basis.c0 * weight_value(4.0, x[half:]) * np.sqrt(2 * w[half:])
+        i = half + int(np.flatnonzero((h0 > 0) & (h0 < 2.0 ** -511))[0])
+        w = w.copy()
+        w[i] = math.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ConvergenceError, match="defect nan"):
+                _verify_orthonormality(basis, x, w, 1e-8)
+
 
 class TestEvalBasis:
     def test_h0_at_origin(self, basis2):

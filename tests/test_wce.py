@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -506,6 +507,13 @@ class TestWceBound:
         with pytest.raises(ValueError):
             wce_bound(-1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "phi, a_n", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]
+    )
+    def test_non_finite_is_rejected(self, phi, a_n):
+        with pytest.raises(ValueError, match="finite"):
+            wce_bound(phi, a_n)
+
 
 class TestTensorWce:
     def test_dimension_one_collapse(self):
@@ -555,6 +563,18 @@ class TestTensorWce:
             tensor_wce(0.1, 2.0 ** -0.25, 1.0, 0)
         with pytest.raises(ValueError):
             tensor_wce(-0.1, 2.0 ** -0.25, 1.0, 2)
+
+    @pytest.mark.parametrize(
+        "wce1_sq, c, lambda0",
+        [
+            (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (1.0, math.nan, 1.0),
+            (1.0, math.inf, 1.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
+            (1.0, 1e-200, 1.0),  # c^2 underflows to 0
+        ],
+    )
+    def test_non_finite_is_rejected(self, wce1_sq, c, lambda0):
+        with pytest.raises(ValueError, match="finite"):
+            tensor_wce(wce1_sq, c, lambda0, 2)
 
 
 class TestSlopeFit:
@@ -717,6 +737,21 @@ class TestWCETable:
     def test_axis_validation(self):
         with pytest.raises(ValueError):
             WCETable.from_rows({}, [3, 5], [1.0, 0.1], axis="loglog")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_error_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            WCETable.from_rows({}, [3, 5, 7], [1e-2, bad, 1e-4], axis="n")
+
+    def test_non_finite_abscissa_is_left_out_of_the_fit(self):
+        # log10(0) = -inf: the row at n = 0 is kept but not fitted
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = WCETable.from_rows({}, [0, 1, 2], [0.5, 0.25, 0.125], axis="log-n")
+        assert table.ns == (0, 1, 2)
+        fitted = WCETable.from_rows({}, [1, 2], [0.25, 0.125], axis="log-n")
+        assert (table.slope, table.intercept) == (fitted.slope, fitted.intercept)
+        assert table.slope == pytest.approx(-1.0)
 
     def test_csv_round_trip(self):
         table = WCETable.from_rows({}, [3, 5], [0.1234567890123456789, 3e-15], axis="n")
