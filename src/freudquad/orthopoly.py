@@ -25,7 +25,11 @@ which would cost the CPU a slow microcode assist each.  A step of the
 recurrence is four ufunc calls on a row of nodes, and on a few hundred nodes
 their cost is per-call overhead: numpy converts a float scalar operand on
 every call, so the step takes its coefficients as rows of a stride-0 view of
-the coefficient array instead.
+the coefficient array instead.  The Stieltjes pass does the same, and runs
+its elementwise work only where W(x) != 0 (elsewhere every h_k is 0); its
+norm still sums the whole zero-padded buffer, because numpy's pairwise sum
+groups terms by position, and a sum over the live slice alone would move
+the coefficients in their last bits.
 """
 
 from __future__ import annotations
@@ -151,32 +155,49 @@ def _stieltjes_pass(alpha: float, n_max: int, x, w):
 
     Orthonormalizes x*h_k against h_{k-1} under the supplied reference
     quadrature; returns (c0, a_1..a_{n_max}).
+
+    Where W underflows to 0 every h_k is exactly 0 as well (the recurrence
+    has no constant term), and so is each summand w v^2 of the norm.  So the
+    h rows hold, and the elementwise work runs on, only the slice from the
+    first to the last point with W != 0 (on the ascending reference grid,
+    just the points with W != 0).  The summands go into that slice of a
+    zero-padded buffer over the whole grid, and the norm reduces the whole
+    buffer: numpy's pairwise summation groups the terms by position, so
+    summing the slice alone would regroup them and move the coefficients in
+    their last bits.  As in ``_sweep``, a_(k-1) and a_k come as rows of a
+    stride-0 view of the coefficient array, which the pass fills as it goes.
     """
     # not built on _sweep: this recurrence produces the coefficients it recurs on
     W = weight_value(alpha, x)
     c0 = 1.0 / math.sqrt(float(np.sum(w * W * W)))
-    a = np.zeros(n_max)
-    h_prev = np.zeros_like(x)
-    h_cur = c0 * W
+    live = np.flatnonzero(W)  # not empty: c0 above is finite
+    lo, hi = live[0], live[-1] + 1
+    x, w = x[lo:hi], w[lo:hi]  # the live slice from here on
+    a = np.zeros(n_max + 1)  # a[k] = a_k, with a_0 = 0
+    # rows[k] is a_k at every live point, read as a fills
+    rows = as_strided(a, (a.size, x.size), (a.itemsize, 0), writeable=False)
     # v = x h_k - a_k h_{k-1}, then (w v) v, then v / a_{k+1}: the same
     # elementwise operations in the same order as the plain expressions,
     # written into two reused buffers; the three h rows rotate
-    v, t = np.empty_like(x), np.empty_like(x)
+    h_prev, h_cur, v = np.zeros_like(x), c0 * W[lo:hi], np.empty_like(x)
+    padded = np.zeros(W.size)  # the summands, zero outside the live slice
+    t = padded[lo:hi]
+    mul, sub, div, total = np.multiply, np.subtract, np.divide, np.add.reduce
     for k in range(n_max):
-        np.multiply(x, h_cur, out=v)
-        np.multiply(a[k - 1] if k >= 1 else 0.0, h_prev, out=t)
-        np.subtract(v, t, out=v)
-        np.multiply(w, v, out=t)
-        np.multiply(t, v, out=t)
-        norm_sq = float(np.add.reduce(t))
+        mul(x, h_cur, v)
+        mul(rows[k], h_prev, t)
+        sub(v, t, v)
+        mul(w, v, t)
+        mul(t, v, t)
+        norm_sq = float(total(padded))
         if not norm_sq > 0:
             raise ConvergenceError(
                 f"Stieltjes norm collapsed at index {k + 1}", index=k + 1
             )
-        a[k] = math.sqrt(norm_sq)
-        np.divide(v, a[k], out=v)
+        a[k + 1] = math.sqrt(norm_sq)
+        div(v, rows[k + 1], v)
         h_prev, h_cur, v = h_cur, v, h_prev
-    return c0, a
+    return c0, a[1:]
 
 
 _GRAM_BYTES = 8 << 20  # all that _verify_orthonormality holds at a time

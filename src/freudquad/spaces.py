@@ -245,13 +245,22 @@ def _mod_poly_moments(space: SpaceWeight, k: np.ndarray) -> np.ndarray:
     (1 + t/pi)^s expands exactly, so mu_k = sum_j C(s,j) pi^-j (k+1)...(k+j).
     The rising factorials are exp(gammaln(k+j+1) - gammaln(k+1)) with
     ``math.exp`` per element: ``np.exp`` rounds some of them differently.
+    The j = 0 term is exactly 1.  Each later term streams ``math.exp`` into
+    one array and is scaled and added in place, so no Python float is held
+    per mode and at most five arrays of k's size are live at once (k, the
+    shared gammaln(k+1), the total, one term's logarithms and its values).
     """
     s = int(space.s)
-    total = np.zeros(k.shape)
-    for j in range(s + 1):
-        log_rising = gammaln(k + j + 1) - gammaln(k + 1)
-        rising = np.array([math.exp(v) for v in np.ravel(log_rising).tolist()])
-        total += math.comb(s, j) * math.pi ** (-j) * rising.reshape(k.shape)
+    log_k_fact = gammaln(k + 1)
+    total = np.ones(k.shape)
+    for j in range(1, s + 1):
+        log_rising = gammaln(k + j + 1)
+        log_rising -= log_k_fact
+        rising = np.fromiter(map(math.exp, log_rising.flat), float, log_rising.size)
+        del log_rising
+        rising *= math.comb(s, j) * math.pi ** (-j)
+        total += rising.reshape(k.shape)
+        del rising
     return total
 
 

@@ -415,7 +415,8 @@ def tensor_wce(wce1_sq: float, c: float, lambda0: float, d: int) -> float:
         (c^2/lambda_0 + w)^d - (c^2/lambda_0)^d
 
     evaluated via expm1/log1p so the d=1 case returns w exactly and small
-    w does not cancel away.
+    w does not cancel away.  A value beyond float64 (base^d, the expm1
+    factor or their product) raises ``ValueError``.
     """
     # written so that NaN fails the comparisons
     if not 1 <= d < math.inf:
@@ -429,7 +430,16 @@ def tensor_wce(wce1_sq: float, c: float, lambda0: float, d: int) -> float:
         raise ValueError(f"c^2/lambda_0 = {base} is not a positive finite float")
     if wce1_sq == 0.0:
         return 0.0
-    return float(base**d * math.expm1(d * math.log1p(wce1_sq / base)))
+    try:
+        value = float(base**d * math.expm1(d * math.log1p(wce1_sq / base)))
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(
+            f"the d={d} squared worst-case error overflows float64 "
+            f"(c^2/lambda_0 = {base}, per-coordinate {wce1_sq})"
+        )
+    return value
 
 
 def slope_fit(xs, ys) -> tuple[float, float]:

@@ -392,6 +392,15 @@ class TestWce:
             f"2n = {2 * n} of row n = {n}\n"
         )
 
+    def test_dimension_that_overflows_exits_one(self, capsys):
+        # (c^2/lambda_0 + w)^4000 is beyond float64: a traceback before
+        code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "1",
+                                 "--dim", "4000", "--n-range", "3:5:2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the d=4000 squared worst-case error overflows")
+        assert err.count("\n") == 1
+
 
 class TestPerturb:
     def test_report_fields(self, capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -54,6 +55,18 @@ class TestSpaceWeight:
         assert np.array_equal(lambda_of(sw, k), ref)
         assert np.array_equal(lambda_of(sw, k.reshape(3, 1667)), ref.reshape(3, 1667))
         assert np.array_equal([radial_moment(sw, kk) for kk in k], ref)
+
+    def test_mod_poly_moments_hold_few_arrays(self):
+        # no Python float per mode: at most six arrays of k's size at once
+        k = np.arange(40_001)
+        sw = SpaceWeight.mod_poly(2.0)
+        tracemalloc.start()
+        try:
+            lambda_of(sw, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * k.size
 
     def test_mod_poly_table_makes_no_scalar_moment_calls(self, monkeypatch):
         # the k range of `freudq wce --space ms --s 2 --n-range 3:21:2`

@@ -576,6 +576,18 @@ class TestTensorWce:
         with pytest.raises(ValueError, match="finite"):
             tensor_wce(wce1_sq, c, lambda0, 2)
 
+    @pytest.mark.parametrize(
+        "wce1_sq, c, lambda0, d",
+        [
+            (1.0, 1.0, 1.0, 2000),  # expm1 of d log1p(w / base) > 709
+            (1e-3, 1e6, 1.0, 60),  # base^d = 1e720
+            (1e160, 1e75, 1.0, 2),  # both factors finite, their product not
+        ],
+    )
+    def test_overflow_is_a_value_error(self, wce1_sq, c, lambda0, d):
+        with pytest.raises(ValueError, match="overflows float64"):
+            tensor_wce(wce1_sq, c, lambda0, d)
+
 
 class TestSlopeFit:
     def test_examples(self):
