@@ -64,15 +64,17 @@ def sup_envelope_constant(basis: FreudBasis) -> float:
     grid over the essential support, times a safety factor of 4.  The value
     depends on the basis it is measured on, and each call measures it
     again.  The grid maximum of |h_k| is taken block by block as ``_sweep``
-    streams the values, and then squared: squaring is monotone under
-    rounding, so that is the maximum of the squares, bit for bit.
+    streams the values, each block dropped before the next is built, and
+    then squared: squaring is monotone under rounding, so that is the
+    maximum of the squares, bit for bit.
     """
     kmax = min(_ENVELOPE_K_CAP, basis.n_max)
     R = 1.25 * mrs_number(basis.alpha, max(kmax, 1))
     grid = np.linspace(-R, R, 2001)
-    sup = np.concatenate([
-        np.abs(H, out=H).max(axis=1) for _, H in _sweep(basis, grid, kmax)
-    ])
+    sup = np.empty(kmax + 1)
+    for k0, H in _sweep(basis, grid, kmax):
+        np.abs(H, out=H).max(axis=1, out=sup[k0:k0 + len(H)])
+        del H
     k = np.arange(1, kmax + 1, dtype=float)
     envelope = sup[1:] ** 2 * k ** (1.0 / basis.alpha - 1.0 / 3.0)
     return _ENVELOPE_SAFETY * float(envelope.max())

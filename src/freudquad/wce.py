@@ -415,8 +415,11 @@ def tensor_wce(wce1_sq: float, c: float, lambda0: float, d: int) -> float:
         (c^2/lambda_0 + w)^d - (c^2/lambda_0)^d
 
     evaluated via expm1/log1p so the d=1 case returns w exactly and small
-    w does not cancel away.  A value beyond float64 (base^d, the expm1
-    factor or their product) raises ``ValueError``.
+    w does not cancel away.  For w > base = c^2/lambda_0 it is factored as
+    (base + w)^d (-expm1(-d log1p(w/base))) instead, so a base^d that
+    underflows (or an expm1 that overflows) does not stand in for a finite
+    value.  A value beyond float64 (either power, the expm1 factor or their
+    product) raises ``ValueError``.
     """
     # written so that NaN fails the comparisons
     if not 1 <= d < math.inf:
@@ -431,7 +434,11 @@ def tensor_wce(wce1_sq: float, c: float, lambda0: float, d: int) -> float:
     if wce1_sq == 0.0:
         return 0.0
     try:
-        value = float(base**d * math.expm1(d * math.log1p(wce1_sq / base)))
+        if wce1_sq <= base:
+            value = float(base**d * math.expm1(d * math.log1p(wce1_sq / base)))
+        else:
+            value = float((base + wce1_sq) ** d
+                          * -math.expm1(-d * math.log1p(wce1_sq / base)))
     except OverflowError:
         value = math.inf
     if value == math.inf:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import freudquad.gaussquad as gaussquad
 import freudquad.orthopoly as orthopoly
 from freudquad import (
     CapacityError,
@@ -73,10 +74,36 @@ class TestStreamedGaussRule:
         basis = build_basis(alpha, 41)
         for n in range(2, 41):
             monkeypatch.setattr(orthopoly, "_SWEEP_BYTES", 8 * n * rows)
+            monkeypatch.setattr(gaussquad, "_CHRISTOFFEL_BYTES", 8 * n * rows)
             rule = gauss_rule(basis, n)
             ref = _matrix_gauss_rule(basis, n)
             for got, want in zip((rule.nodes, rule.omega, rule.tau), ref):
                 assert np.array_equal(got, want), n
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("alpha", [2.0, 4.0, 1.8])
+    def test_christoffel_same_bits_for_any_block(self, monkeypatch, alpha, rows):
+        # 50 points: the default block holds every row up to n = 40
+        basis = build_basis(alpha, 41)
+        x = np.linspace(-1.2, 1.2, 50) * mrs_number(alpha, 41)
+        for n in (1, 2, 6, 7, 8, 21, 40):
+            want = gaussquad._christoffel(basis, x, n)
+            monkeypatch.setattr(gaussquad, "_CHRISTOFFEL_BYTES", 8 * x.size * rows)
+            got = gaussquad._christoffel(basis, x, n)
+            monkeypatch.undo()
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), n
+
+    def test_holds_one_small_block(self):
+        # one 64 KiB block and a few rows; two 1 MiB blocks would be 2.1 MiB
+        basis = build_basis(2.0, 701)
+        tracemalloc.start()
+        try:
+            gauss_rule(basis, 700)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
 
     def test_holds_no_basis_matrix(self):
         n = 1000

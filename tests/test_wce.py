@@ -577,6 +577,23 @@ class TestTensorWce:
             tensor_wce(wce1_sq, c, lambda0, 2)
 
     @pytest.mark.parametrize(
+        "wce1_sq, c, d",
+        [
+            (1e-100, 1e-100, 2),  # base = 1e-200: base^d underflows to 0
+            (1.0, 1e-100, 2),  # and expm1 of d log1p(w / base) overflows
+            (1.0, 1e-160, 3),
+            (0.5, 0.5, 700),  # base^d = 2^-1400
+        ],
+    )
+    def test_base_far_below_the_error(self, wce1_sq, c, d):
+        import mpmath as mp
+
+        base = c * c
+        with mp.workdps(50):
+            ref = float((mp.mpf(base) + mp.mpf(wce1_sq)) ** d - mp.mpf(base) ** d)
+        assert tensor_wce(wce1_sq, c, 1.0, d) == pytest.approx(ref, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize(
         "wce1_sq, c, lambda0, d",
         [
             (1.0, 1.0, 1.0, 2000),  # expm1 of d log1p(w / base) > 709
