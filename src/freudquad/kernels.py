@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma, gammaincc
 
 from .errors import UnboundedTailError
-from .orthopoly import FreudBasis, _sweep, mrs_number
+from .orthopoly import FreudBasis, _grid_radius_scale, _sweep
 from .spaces import SpaceWeight
 
 __all__ = [
@@ -69,7 +68,7 @@ def sup_envelope_constant(basis: FreudBasis) -> float:
     maximum of the squares, bit for bit.
     """
     kmax = min(_ENVELOPE_K_CAP, basis.n_max)
-    R = 1.25 * mrs_number(basis.alpha, max(kmax, 1))
+    R = 1.25 * _grid_radius_scale(basis.alpha, max(kmax, 1))
     grid = np.linspace(-R, R, 2001)
     sup = np.empty(kmax + 1)
     for k0, H in _sweep(basis, grid, kmax):
@@ -87,6 +86,10 @@ def _exp_tail_bound(K: int, p: float, q: float, gamma_exp: float, const: float) 
     summand still increases past K (gamma_exp > 0, small K) one maximal
     term is added to keep the bound valid.  Beyond the float range it is inf.
     """
+    # imported here, not at module level: only series truncation needs it,
+    # and scipy.special costs ~40 ms and 3.5 MB at import
+    from scipy.special import gamma, gammaincc
+
     c = (gamma_exp + 1.0) / p
     z = q * float(max(K, 0)) ** p
     try:

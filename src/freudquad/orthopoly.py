@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import gamma, roots_legendre
 
 from .errors import CapacityError, ConvergenceError
 
@@ -74,17 +73,37 @@ def weight_value(alpha: float, x):
 
 
 def mrs_number(alpha: float, n: int) -> float:
-    """Mhaskar-Rahmanov-Saff scale for weighted polynomials of degree n.
+    """Mhaskar-Rakhmanov-Saff number m_n of W = exp(-pi |x|^alpha).
 
-    m_{n,alpha} = (2/sqrt(pi)) * (Gamma(alpha/2)^2 / (4 Gamma(alpha)))^(1/alpha) * n^(1/alpha)
+    m_n^alpha = n Gamma(alpha/2 + 1) / (alpha sqrt(pi) Gamma((alpha+1)/2)),
 
-    Weighted polynomials of degree n are exponentially small outside
-    [-m_n, m_n]; all reference-quadrature supports are sized from it.
+    the solution of n = (2/pi) int_0^1 m t Q'(m t) / sqrt(1 - t^2) dt with
+    Q = pi |x|^alpha (sqrt(n/pi) at alpha = 2).  A weighted polynomial P W
+    of degree n attains its sup norm on [-m_n, m_n], and the Gauss nodes of
+    order n lie inside it, the largest within O(m_n n^(-2/3)) of m_n.
     """
     if not 1 < alpha < math.inf:
         raise ValueError(f"weight exponent must be finite and > 1, got alpha={alpha}")
     if n < 1:
         raise ValueError(f"degree must be >= 1, got n={n}")
+    scale = math.gamma(alpha / 2.0 + 1.0) / (
+        alpha * math.sqrt(math.pi) * math.gamma((alpha + 1.0) / 2.0)
+    )
+    return (n * scale) ** (1.0 / alpha)
+
+
+def _grid_radius_scale(alpha: float, n: int) -> float:
+    """Radius scale of the reference and envelope grids, for degree n >= 1.
+
+    (2/sqrt(pi)) (Gamma(alpha/2)^2 / (4 Gamma(alpha)))^(1/alpha) n^(1/alpha):
+    the MRS number at alpha = 2, but off by the factor pi^(1/alpha - 1/2)
+    elsewhere (x0.75 at alpha = 4, x1.21 at alpha = 1.5).  The grids keep it
+    so that every coefficient and envelope constant keeps its bits.
+    """
+    # imported here, not at module level: scipy.special costs ~40 ms and
+    # 3.5 MB at import, and the alpha = 2 closed-form route never needs it
+    from scipy.special import gamma
+
     const = (gamma(alpha / 2.0) ** 2 / (4.0 * gamma(alpha))) ** (1.0 / alpha)
     return 2.0 / math.sqrt(math.pi) * const * n ** (1.0 / alpha)
 
@@ -109,7 +128,7 @@ class FreudBasis:
 
 
 def _reference_grid(alpha: float, n_max: int, panels: int, degree: int):
-    """Composite Gauss-Legendre rule on [-R, R] sized by the MRS number.
+    """Composite Gauss-Legendre rule on [-R, R] sized by ``_grid_radius_scale``.
 
     ``panels`` uniform panels of width h = 2R / panels; the even count keeps
     x = 0 on a panel boundary.  For even-integer alpha the weight is smooth
@@ -120,7 +139,11 @@ def _reference_grid(alpha: float, n_max: int, panels: int, degree: int):
     negative half is then the exact negation of the positive half (weights
     mirrored), so the grid stays ascending and mirrored about 0.
     """
-    R = mrs_number(alpha, 2 * n_max) * (1.0 + 3.0 * n_max ** (-2.0 / 3.0)) + 2.0
+    # imported here, not at module level: only a Stieltjes build (alpha != 2)
+    # needs the Legendre rule, so the alpha = 2 route never loads scipy.special
+    from scipy.special import roots_legendre
+
+    R = _grid_radius_scale(alpha, 2 * n_max) * (1.0 + 3.0 * n_max ** (-2.0 / 3.0)) + 2.0
     xg, wg = roots_legendre(degree)
     if alpha % 2 == 0:
         edges = np.linspace(-R, R, panels + 1)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConvergenceError, GridInsufficientError
 
@@ -250,6 +249,10 @@ def _mod_poly_moments(space: SpaceWeight, k: np.ndarray) -> np.ndarray:
     per mode and at most five arrays of k's size are live at once (k, the
     shared gammaln(k+1), the total, one term's logarithms and its values).
     """
+    # imported here, not at module level: scipy.special costs ~40 ms and
+    # 3.5 MB at import, and only the integer-s mod-poly tables need it here
+    from scipy.special import gammaln
+
     s = int(space.s)
     log_k_fact = gammaln(k + 1)
     total = np.ones(k.shape)
@@ -267,8 +270,11 @@ def _mod_poly_moments(space: SpaceWeight, k: np.ndarray) -> np.ndarray:
 def _moment_quad(space: SpaceWeight, k: int) -> float:
     """mu_k of a mod-poly or mod-exp window by adaptive quadrature."""
     # imported here, not at module level: loading scipy.integrate costs ~20 MB
-    # and ~0.1 s, and only non-integer mod-poly and mod-exp moments need it
+    # and ~0.1 s, and only non-integer mod-poly and mod-exp moments need it;
+    # scipy.special likewise (~40 ms and 3.5 MB), which the closed-form route
+    # never loads
     from scipy.integrate import quad
+    from scipy.special import gammaln
 
     s = float(space.s)
     lgk = gammaln(k + 1)
@@ -355,6 +361,10 @@ def stft_grid_norm_sq(
     |sum_k fhat_k sqrt(pi^k/k!) zbar^k|^2 e^{-pi|z|^2} w(|z|) on a grid
     and integrates by the trapezoid rule in both directions.
     """
+    # imported here, not at module level: the package import leaves
+    # scipy.special (~40 ms, 3.5 MB) to the functions that call it
+    from scipy.special import gammaln
+
     if f.alpha != 2.0:
         raise ValueError(f"modulation norms require alpha=2, got {f.alpha}")
     _require_modulation(space)

@@ -414,12 +414,12 @@ def tensor_wce(wce1_sq: float, c: float, lambda0: float, d: int) -> float:
 
         (c^2/lambda_0 + w)^d - (c^2/lambda_0)^d
 
-    evaluated via expm1/log1p so the d=1 case returns w exactly and small
-    w does not cancel away.  For w > base = c^2/lambda_0 it is factored as
-    (base + w)^d (-expm1(-d log1p(w/base))) instead, so a base^d that
-    underflows (or an expm1 that overflows) does not stand in for a finite
-    value.  A value beyond float64 (either power, the expm1 factor or their
-    product) raises ``ValueError``.
+    evaluated as base^d expm1(d log1p(w/base)), with base = c^2/lambda_0,
+    so the d=1 case returns w exactly and small w does not cancel away.  For
+    w > base, or where base^d underflows to 0 or the expm1 factor overflows,
+    it is factored as (base + w)^d (-expm1(-d log1p(w/base))) instead, so
+    neither stands in for a finite value.  A value beyond float64 raises
+    ``ValueError``.
     """
     # written so that NaN fails the comparisons
     if not 1 <= d < math.inf:
@@ -433,14 +433,19 @@ def tensor_wce(wce1_sq: float, c: float, lambda0: float, d: int) -> float:
         raise ValueError(f"c^2/lambda_0 = {base} is not a positive finite float")
     if wce1_sq == 0.0:
         return 0.0
+    value = None
     try:
-        if wce1_sq <= base:
-            value = float(base**d * math.expm1(d * math.log1p(wce1_sq / base)))
-        else:
+        power = base**d if wce1_sq <= base else 0.0
+        if power > 0.0:
+            value = float(power * math.expm1(d * math.log1p(wce1_sq / base)))
+    except OverflowError:  # base^d or the expm1 factor
+        pass
+    if value is None:
+        try:
             value = float((base + wce1_sq) ** d
                           * -math.expm1(-d * math.log1p(wce1_sq / base)))
-    except OverflowError:
-        value = math.inf
+        except OverflowError:
+            value = math.inf
     if value == math.inf:
         raise ValueError(
             f"the d={d} squared worst-case error overflows float64 "

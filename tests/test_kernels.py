@@ -17,7 +17,7 @@ from freudquad import (
     sup_envelope_constant,
     tail_index,
 )
-from freudquad.orthopoly import _sweep
+from freudquad.orthopoly import _grid_radius_scale, _sweep
 
 
 def _series_oracle(t, x, y, K):
@@ -149,7 +149,7 @@ class TestSupEnvelopeConstant:
         # measured on the basis it is given, whatever was measured before
         wide, narrow = build_basis(4.0, 800), build_basis(4.0, 512)
         sup_envelope_constant(wide)
-        R = 1.25 * mrs_number(4.0, 512)
+        R = 1.25 * _grid_radius_scale(4.0, 512)
         H = basis_matrix(narrow, np.linspace(-R, R, 2001), 512)
         k = np.arange(1, 513, dtype=float)
         own = 4.0 * float(((H[1:] ** 2).max(axis=1) * k ** (0.25 - 1.0 / 3.0)).max())
@@ -161,7 +161,7 @@ class TestSupEnvelopeConstant:
         # the per-block max of |h_k|, squared, is the max of h_k^2
         basis = build_basis(alpha, n_max)
         kmax = min(512, n_max)
-        R = 1.25 * mrs_number(alpha, kmax)
+        R = 1.25 * _grid_radius_scale(alpha, kmax)
         H = basis_matrix(basis, np.linspace(-R, R, 2001), kmax)
         k = np.arange(1, kmax + 1, dtype=float)
         envelope = (H[1:] ** 2).max(axis=1) * k ** (1.0 / alpha - 1.0 / 3.0)

@@ -21,11 +21,12 @@ from freudquad import (
     basis_matrix,
     build_basis,
     eval_basis,
+    gauss_rule,
     mrs_number,
     weight_value,
 )
 from freudquad.orthopoly import (
-    _c0, _reference_grid, _stieltjes_pass, _sweep, _verify_orthonormality,
+    _c0, _grid_radius_scale, _reference_grid, _stieltjes_pass, _sweep, _verify_orthonormality,
 )
 
 PI = math.pi
@@ -60,10 +61,21 @@ class TestMrsNumber:
         assert mrs_number(2.0, 4) == pytest.approx(math.sqrt(4.0 / PI), rel=1e-14)
         assert mrs_number(2.0, 1) == pytest.approx(1.0 / math.sqrt(PI), rel=1e-14)
 
-    def test_alpha4(self):
-        # Gamma(2)=1, Gamma(4)=6: constant (1/24)^(1/4)
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 4.0, 6.0])
+    def test_largest_gauss_node_lies_just_below(self, alpha):
+        # the largest zero of p_n sits below m_n, at a distance of order
+        # m_n n^(-2/3) (0.56 to 1.37 of it here); the old expression, which
+        # the grids keep (_grid_radius_scale), fails at alpha = 1.5, 4 and 6
+        n = 400
+        top = gauss_rule(build_basis(alpha, n + 1), n).nodes.max()
+        m = mrs_number(alpha, n)
+        assert 0.0 < m - top < 2.0 * m * n ** (-2.0 / 3.0)
+
+    def test_grid_radius_scale_keeps_the_old_expression(self):
+        # Gamma(2)=1, Gamma(4)=6: constant (1/24)^(1/4); at alpha=2 the MRS number
         expected = 2.0 / math.sqrt(PI) * (1.0 / 24.0) ** 0.25 * 2.0
-        assert mrs_number(4.0, 16) == pytest.approx(expected, rel=1e-14)
+        assert _grid_radius_scale(4.0, 16) == pytest.approx(expected, rel=1e-14)
+        assert _grid_radius_scale(2.0, 7) == pytest.approx(mrs_number(2.0, 7), rel=1e-15)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -227,7 +239,7 @@ class TestMomentOracle:
 
 def _uniform_grid(alpha, n_max, panels, degree):
     """The plain composite rule: ``panels`` equal Gauss-Legendre panels."""
-    R = mrs_number(alpha, 2 * n_max) * (1.0 + 3.0 * n_max ** (-2.0 / 3.0)) + 2.0
+    R = _grid_radius_scale(alpha, 2 * n_max) * (1.0 + 3.0 * n_max ** (-2.0 / 3.0)) + 2.0
     xg, wg = roots_legendre(degree)
     edges = np.linspace(-R, R, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -689,3 +701,33 @@ def test_import_and_series_route_leave_scipy_integrate_unloaded():
     assert out[0] == "False"
     # the non-integer mod-poly moment still goes through the adaptive quadrature
     assert float.fromhex(out[1]) == 6.8373792902076795
+
+
+_SPECIAL_FOOTPRINT_SCRIPT = """
+import contextlib, io, sys
+import freudquad, freudquad.cli
+from freudquad import SpaceWeight, build_basis, gauss_rule, run_figure, wce_me2, wce_series
+run_figure("fig1a", n_values=(3, 5))
+rule = gauss_rule(build_basis(2.0, 30), 20)
+wce_me2(rule.nodes, rule.omega, 1.25)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert freudquad.cli.main(["nodes", "--n", "5"]) == 0
+print("scipy.special" in sys.modules)
+value = wce_series(rule.nodes, rule.omega, build_basis(2.0, 400), SpaceWeight.geometric(1.25), 40)
+print("scipy.special" in sys.modules)
+print(value.hex())
+"""
+
+
+def test_closed_form_route_leaves_scipy_special_unloaded():
+    # a fresh interpreter, as above: fig1a, wce_me2 and `nodes` call no special
+    # function, so only the series call's tail bound loads scipy.special
+    src = os.path.dirname(os.path.dirname(freudquad.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPECIAL_FOOTPRINT_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out[:2] == ["False", "True"]
+    assert float.fromhex(out[2]) == float.fromhex("0x1.7407836e2a857p-24")

@@ -594,6 +594,24 @@ class TestTensorWce:
         assert tensor_wce(wce1_sq, c, 1.0, d) == pytest.approx(ref, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize(
+        "wce1_sq, c, d",
+        [
+            (0.5, 0.5**0.5, 1100),  # base^d underflows, expm1 overflows; value 1.0
+            (0.1, 0.7**0.5, 2100),  # base^d underflows, expm1 is finite
+        ],
+    )
+    def test_base_power_underflows_with_the_error_at_most_base(self, wce1_sq, c, d):
+        import mpmath as mp
+
+        base = c * c
+        assert wce1_sq <= base
+        with mp.workdps(50):
+            ref = float((mp.mpf(base) + mp.mpf(wce1_sq)) ** d - mp.mpf(base) ** d)
+        # base + w is rounded once, and the d-th power carries that to d ulps
+        got = tensor_wce(wce1_sq, c, 1.0, d)
+        assert got == pytest.approx(ref, rel=d * 2.0**-52, abs=0)
+
+    @pytest.mark.parametrize(
         "wce1_sq, c, lambda0, d",
         [
             (1.0, 1.0, 1.0, 2000),  # expm1 of d log1p(w / base) > 709
