@@ -115,48 +115,36 @@ def worker_count() -> int:
     return 1
 
 
-def _rule_shape(spec: FigureSpec, n: int) -> tuple[int, int]:
-    """Node count of row n's rule and the first mode its series sums:
-    shifted rules take n+1 nodes from k = n+1, Gauss rules n from k = 2n."""
-    return (n + 1, n + 1) if spec.eps is not None else (n, 2 * n)
+def _plan(spec: FigureSpec) -> tuple[dict[int, tuple[int, int]], int]:
+    """Each distinct n, in the given order, with ``(size, start)``: its
+    rule's node count and its series' first mode (shifted rules take n+1
+    nodes from k = n+1, Gauss rules n from k = 2n); and the basis capacity.
 
-
-def _required_capacity(spec: FigureSpec) -> int:
-    """The largest rule's size plus one, and on the series route the fixed
-    depth or the top row's truncation index plus a margin of four.
-
-    The truncation index needs no basis, so the table builds one basis, at
-    this capacity.  The sweep itself needs capacity K only; the four extra
-    modes stay because at alpha != 2 the capacity also sizes the Stieltjes
-    reference grid (``orthopoly._reference_grid``), so dropping them would
-    move the alpha != 2 coefficients, and the pinned alpha = 4 outputs, in
-    their last bits.
+    A fixed depth is rejected on the kernel route, which sums no series,
+    and below a row's start, where the row would sum nothing and read as an
+    exact rule (the first such row is named).  The capacity is the largest
+    rule's size plus one, and on the series route the fixed depth or the
+    top row's truncation index (which needs no basis) plus four: the sweep
+    needs K only, but at alpha != 2 the capacity also sizes the Stieltjes
+    reference grid (``orthopoly._reference_grid``), so dropping the four
+    would move the pinned alpha = 4 outputs in their last bits.
     """
-    size, start = _rule_shape(spec, max(spec.n_values))
-    if spec.kernel_route:
-        return size + 1
+    shifted = spec.eps is not None
+    shapes = {n: (n + 1, n + 1) if shifted else (n, 2 * n) for n in spec.n_values}
     if spec.k_max is not None:
-        return max(spec.k_max, size + 1)
-    K = series_truncation(spec.space(), start, spec.trunc_tol, spec.alpha)
-    return max(K + 4, size + 1)
-
-
-def _check_depth(spec: FigureSpec) -> None:
-    """Reject a fixed series depth on the kernel route, which sums no
-    series, or below a row's first summed mode, where the row would sum
-    nothing and read as an exact rule (the first such row is named)."""
-    if spec.k_max is None:
-        return
-    if spec.kernel_route:
-        raise ValueError("--k-max does not apply to the closed-form kernel route")
-    for n in spec.n_values:
-        start = _rule_shape(spec, n)[1]
-        if spec.k_max < start:
-            mode = "2n" if spec.eps is None else "n+1"
-            raise ValueError(
-                f"--k-max {spec.k_max} is below the first summed mode "
-                f"{mode} = {start} of row n = {n}"
-            )
+        if spec.kernel_route:
+            raise ValueError("--k-max does not apply to the closed-form kernel route")
+        for n, (_, start) in shapes.items():
+            if spec.k_max < start:
+                raise ValueError(
+                    f"--k-max {spec.k_max} is below the first summed mode "
+                    f"{'n+1' if shifted else '2n'} = {start} of row n = {n}"
+                )
+    size, start = shapes[max(shapes)]
+    depth = spec.k_max  # None on the kernel route (rejected above otherwise)
+    if depth is None and not spec.kernel_route:
+        depth = series_truncation(spec.space(), start, spec.trunc_tol, spec.alpha) + 4
+    return shapes, max(depth or 0, size + 1)
 
 
 def _gauss_rule(basis, size: int):
@@ -191,10 +179,11 @@ def _shifted_rule(
     return nodes, omega, report
 
 
-def _rule_row(spec: FigureSpec, basis, n: int) -> tuple[tuple, dict]:
-    """Row n's ``(nodes, omega, start)`` triple, plus the report of its
-    perturbed system (empty for plain Gauss rules)."""
-    size, start = _rule_shape(spec, n)
+def _rule_row(spec: FigureSpec, basis, n: int, shape: tuple) -> tuple[tuple, dict]:
+    """Row n's ``(nodes, omega, start)`` triple for its planned ``shape``
+    ``(size, start)``, plus the report of its perturbed system (empty for
+    plain Gauss rules)."""
+    size, start = shape
     if spec.eps is None:
         rule = _gauss_rule(basis, size)
         return (rule.nodes, rule.omega, start), {}
@@ -207,17 +196,17 @@ def _table_rows(spec: FigureSpec):
     keyed by n: one basis, kernel rows through ``wce_me2``, all series rows
     in one basis sweep.  A row that fails (rule, system, truncation,
     capacity) is recorded in ``errors`` and fails alone; a fixed depth
-    below a row's first summed mode fails the table (``_check_depth``)."""
-    _check_depth(spec)
-    basis = build_basis(spec.alpha, _required_capacity(spec))
+    below a row's first summed mode fails the table (``_plan``)."""
+    shapes, capacity = _plan(spec)
+    basis = build_basis(spec.alpha, capacity)
     values: dict[int, float] = {}
     reports: dict[int, dict] = {}
     errors: dict[int, Exception] = {}
     rows: dict[int, tuple] = {}
 
-    for n in dict.fromkeys(spec.n_values):  # a repeated n is one row
+    for n, shape in shapes.items():  # a repeated n is one row
         try:
-            row, info = _rule_row(spec, basis, n)
+            row, info = _rule_row(spec, basis, n, shape)
             if spec.kernel_route:
                 values[n] = wce_me2(row[0], row[1], spec.t)
             else:

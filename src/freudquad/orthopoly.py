@@ -177,7 +177,7 @@ def _stieltjes_pass(alpha: float, n_max: int, x, w):
     """One sweep of the Stieltjes iteration on the weighted functions.
 
     Orthonormalizes x*h_k against h_{k-1} under the supplied reference
-    quadrature; returns (c0, a_1..a_{n_max}).
+    quadrature, from h_0 scaled by the grid's own c0; returns a_1..a_{n_max}.
 
     Where W underflows to 0 every h_k is exactly 0 as well (the recurrence
     has no constant term), and so is each summand w v^2 of the norm.  So the
@@ -220,7 +220,7 @@ def _stieltjes_pass(alpha: float, n_max: int, x, w):
         a[k + 1] = math.sqrt(norm_sq)
         div(v, rows[k + 1], v)
         h_prev, h_cur, v = h_cur, v, h_prev
-    return c0, a[1:]
+    return a[1:]
 
 
 _GRAM_BYTES = 8 << 20  # all that _verify_orthonormality holds at a time
@@ -339,7 +339,7 @@ def build_basis(alpha: float, n_max: int) -> FreudBasis:
     prev, change = None, np.zeros(1)
     for _ in range(_MAX_DOUBLINGS + 1):
         x, w, _ = _reference_grid(alpha, n_max, panels, _PANEL_DEGREE)
-        _, a = _stieltjes_pass(alpha, n_max, x, w)
+        a = _stieltjes_pass(alpha, n_max, x, w)
         if prev is not None:
             change = np.abs(a - prev) / np.abs(a)
             if change.max() < _COEFF_TOL:

@@ -418,8 +418,9 @@ def tensor_wce(wce1_sq: float, c: float, lambda0: float, d: int) -> float:
     so the d=1 case returns w exactly and small w does not cancel away.  For
     w > base, or where base^d underflows to 0 or the expm1 factor overflows,
     it is factored as (base + w)^d (-expm1(-d log1p(w/base))) instead, so
-    neither stands in for a finite value.  A value beyond float64 raises
-    ``ValueError``.
+    neither stands in for a finite value; the rounding error of base + w is
+    carried into that power.  A value beyond float64, or a positive one
+    that rounds to 0, raises ``ValueError``.
     """
     # written so that NaN fails the comparisons
     if not 1 <= d < math.inf:
@@ -441,14 +442,19 @@ def tensor_wce(wce1_sq: float, c: float, lambda0: float, d: int) -> float:
     except OverflowError:  # base^d or the expm1 factor
         pass
     if value is None:
+        # the rounding error of base + w (a two-sum), so that the d-th
+        # power does not carry it to d ulps
+        total = base + wce1_sq
+        err = (base - (total - (total - base))) + (wce1_sq - (total - base))
         try:
-            value = float((base + wce1_sq) ** d
+            value = float(total**d * math.exp(d * math.log1p(err / total))
                           * -math.expm1(-d * math.log1p(wce1_sq / base)))
         except OverflowError:
             value = math.inf
-    if value == math.inf:
+    if value in (0.0, math.inf):
         raise ValueError(
-            f"the d={d} squared worst-case error overflows float64 "
+            f"the d={d} squared worst-case error "
+            f"{'underflows' if value == 0.0 else 'overflows'} float64 "
             f"(c^2/lambda_0 = {base}, per-coordinate {wce1_sq})"
         )
     return value

@@ -405,23 +405,30 @@ class TestWce:
     def test_dimension_where_the_base_power_underflows(self, capsys):
         # at s = 1, w = 0.175 < c^2/lambda_0 = 2^-1/2: base^4000 underflows and
         # the expm1 factor overflows, yet (base + w)^4000 - base^4000 is
-        # 3.15e-218 at n = 3 (an overflow error before); n = 5's is below
-        # the float range, so it reads 0
+        # 3.15e-218 at n = 3 (an overflow error before)
         import mpmath as mp
 
         one_dim = json.loads(run_cli(
-            capsys, "wce", "--space", "hs", "--s", "1", "--n-range", "3:5:2",
+            capsys, "wce", "--space", "hs", "--s", "1", "--n-range", "3",
             "--format", "json",
         )[1])["rows"]
         code, out, _ = run_cli(capsys, "wce", "--space", "hs", "--s", "1",
-                               "--dim", "4000", "--n-range", "3:5:2", "--format", "json")
+                               "--dim", "4000", "--n-range", "3", "--format", "json")
         assert code == 0
         base = (1.0 / build_basis(2.0, 6).c0) ** 2
-        for (n, w), (n_d, value) in zip(one_dim, json.loads(out)["rows"]):
-            assert n == n_d
-            with mp.workdps(50):
-                ref = float((mp.mpf(base) + mp.mpf(w)) ** 4000 - mp.mpf(base) ** 4000)
-            assert value == pytest.approx(ref, rel=4000 * 2.0**-52, abs=0)
+        [(n, w)], [(n_d, value)] = one_dim, json.loads(out)["rows"]
+        assert n == n_d == 3
+        with mp.workdps(50):
+            ref = float((mp.mpf(base) + mp.mpf(w)) ** 4000 - mp.mpf(base) ** 4000)
+        assert value == pytest.approx(ref, rel=4 * 2.0**-52, abs=0)
+        # n = 5's value is 5.6e-354, below the float range: it read 0, as an
+        # exact rule, and dropped out of the fit
+        code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "1",
+                                 "--dim", "4000", "--n-range", "3:5:2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the d=4000 squared worst-case error underflows")
+        assert err.count("\n") == 1
 
 
 class TestPerturb:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import re
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from freudquad import FIGURE_IDS, FigureSpec, SpaceWeight, figure_spec, run_figure
-from freudquad.cli import main
+from freudquad.cli import build_parser, main
 
 # to_csv() of every figure at n = 3, 5, 7, recorded with rows run one after
 # another; any change to these bytes is a change in the reported results
@@ -81,6 +82,22 @@ class TestReplaySurface:
         assert spec.trunc_tol == 1e-16
         assert spec.k_max == (40_000 if fid in ("fig3b", "fig3c") else None)
 
+    def test_every_wce_command_parses_to_a_float_trunc_tol(self):
+        # the replay passes the parsed --trunc-tol to series_truncation, so a
+        # None default would break the cli-tables replay alone
+        path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+        loader = importlib.util.spec_from_file_location("_workloads", path)
+        workloads = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(workloads)
+        commands = [
+            op for ops in workloads.WORKLOADS.values() for kind, op in ops
+            if kind == "cli" and op.split()[0] == "wce"
+        ]
+        assert commands
+        for command in commands:
+            args = build_parser().parse_args(workloads.cli_argv(command, 7))
+            assert type(args.trunc_tol) is float, command
+
 
 class TestRunFigure:
     def test_deterministic_bit_identical_csv(self):
@@ -125,10 +142,10 @@ class TestRunFigure:
 
         real = exp._rule_row
 
-        def flaky(spec, basis, n):
+        def flaky(spec, basis, n, shape):
             if n == 13:
                 raise RuntimeError("synthetic row failure")
-            return real(spec, basis, n)
+            return real(spec, basis, n, shape)
 
         monkeypatch.setattr(exp, "_rule_row", flaky)
         table = run_figure("fig3b", n_values=(3, 13, 17), k_max=2_000)
@@ -165,8 +182,13 @@ class TestRunFigure:
         import freudquad.experiments as exp
 
         # the capacity is sized as the top row's truncation index plus 4
-        real = exp._required_capacity
-        monkeypatch.setattr(exp, "_required_capacity", lambda spec: real(spec) - 5)
+        real = exp._plan
+
+        def short(spec):
+            shapes, capacity = real(spec)
+            return shapes, capacity - 5
+
+        monkeypatch.setattr(exp, "_plan", short)
         table = run_figure("fig2a", n_values=(3, 5, 7))
         assert table.ns == (3, 5)
         assert table.params["failures"]["7"].startswith(
@@ -194,6 +216,8 @@ class TestRunFigure:
         [
             ("fig2a", (3, 5, 7, 9), 16, "2n = 18 of row n = 9"),
             ("fig3a", (3, 9, 5, 11), 8, "n+1 = 10 of row n = 9"),
+            # a repeated, out-of-order n is planned once and still named first
+            ("fig2a", (3, 9, 9, 5), 16, "2n = 18 of row n = 9"),
         ],
     )
     def test_depth_below_first_mode_is_rejected(self, fid, n_values, k_max, message):

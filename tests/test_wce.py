@@ -607,9 +607,10 @@ class TestTensorWce:
         assert wce1_sq <= base
         with mp.workdps(50):
             ref = float((mp.mpf(base) + mp.mpf(wce1_sq)) ** d - mp.mpf(base) ** d)
-        # base + w is rounded once, and the d-th power carries that to d ulps
+        # the rounding error of base + w is carried into its d-th power, so
+        # the power does not scale it to d ulps
         got = tensor_wce(wce1_sq, c, 1.0, d)
-        assert got == pytest.approx(ref, rel=d * 2.0**-52, abs=0)
+        assert got == pytest.approx(ref, rel=4 * 2.0**-52, abs=0)
 
     @pytest.mark.parametrize(
         "wce1_sq, c, lambda0, d",
@@ -622,6 +623,12 @@ class TestTensorWce:
     def test_overflow_is_a_value_error(self, wce1_sq, c, lambda0, d):
         with pytest.raises(ValueError, match="overflows float64"):
             tensor_wce(wce1_sq, c, lambda0, d)
+
+    def test_underflow_is_a_value_error(self):
+        # (base + w)^d - base^d is 5.6e-354 at base = 2^-1/2, w = 0.109,
+        # d = 4000: a 0 would read as an exact rule
+        with pytest.raises(ValueError, match="underflows float64"):
+            tensor_wce(0.10888630566879427, 2.0**-0.25, 1.0, 4000)
 
 
 class TestSlopeFit:
