@@ -12,12 +12,15 @@ The theory gives the envelope exponent and only the existence of C;
 ``sup_envelope_constant`` measures C on a basis for absolute tail bounds
 (``tail_index``).  The series route (``wce.wce_series``) bounds its tail
 relative to the first retained term, where C cancels, so it uses the
-exponent alone.
+exponent alone.  An exponential tail is bounded by an integral, an upper
+incomplete gamma function Gamma(c, z) that this module evaluates itself
+(``_upper_gamma``), so series truncation loads no special-function module.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -34,6 +37,9 @@ __all__ = [
 _TAIL_HARD_CAP = 50_000_000
 _ENVELOPE_K_CAP = 512  # modes scanned for the envelope constant
 _ENVELOPE_SAFETY = 4.0  # factor on the measured grid maximum
+_GAMMA_CF_STEPS = 10_000  # continued-fraction steps: enough for c up to 1e9
+_EPS = sys.float_info.epsilon
+_TINY = 1e-300  # Lentz's stand-in for a zero denominator
 
 
 def mehler(t: float, x, y):
@@ -79,27 +85,83 @@ def sup_envelope_constant(basis: FreudBasis) -> float:
     return _ENVELOPE_SAFETY * float(envelope.max())
 
 
+def _times_exp(kc: float, z: float) -> float:
+    """kc e^-z, through logarithms where e^-z alone is below the normal range."""
+    e = math.exp(-z)
+    if e >= sys.float_info.min or kc == 0.0:
+        return kc * e
+    return math.exp(math.log(kc) - z)
+
+
+def _upper_gamma(c: float, z: float, q: float, kc: float) -> float:
+    """q^-c Gamma(c, z), given kc = (z/q)^c, for c > 0, q > 0 and z >= 0.
+
+    Gamma(c, z) is the upper incomplete gamma function, the integral of
+    t^(c-1) e^-t over t > z.  Below z = c + 1 it is Gamma(c) - gamma(c, z),
+    with gamma(c, z) = z^c e^-z sum_n z^n / (c (c+1) ... (c+n)); from
+    z = c + 1 up it is z^c e^-z times Lentz's continued fraction, which
+    takes about c^(1/3) steps next to the seam (9 015 at c = 1e9).  Both
+    write q^-c z^c e^-z as kc e^-z, so neither power overflows or
+    underflows on its own; q^-c Gamma(c) falls back to logarithms where a
+    factor leaves the float range.  Raises ``OverflowError`` where the
+    value is beyond any float.
+    """
+    if z < c + 1.0:
+        try:
+            head = math.gamma(c) * q ** -c
+        except OverflowError:
+            head = 0.0
+        if not sys.float_info.min <= head < math.inf:
+            head = math.exp(math.lgamma(c) - c * math.log(q))
+        term = total = 1.0 / c
+        a = c
+        while term > total * _EPS:
+            a += 1.0
+            term *= z / a
+            total += term
+        return head - _times_exp(kc, z) * total
+    b = z + 1.0 - c
+    C = 1.0 / _TINY
+    D = 1.0 / b
+    h = D
+    for i in range(1, _GAMMA_CF_STEPS + 1):
+        an = -i * (i - c)
+        b += 2.0
+        D = an * D + b
+        if abs(D) < _TINY:
+            D = _TINY
+        C = b + an / C
+        if abs(C) < _TINY:
+            C = _TINY
+        D = 1.0 / D
+        delta = D * C
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return _times_exp(kc, z) * h
+    raise UnboundedTailError(
+        f"the continued fraction of Gamma({c:.6g}, {z:.6g}) did not converge in "
+        f"{_GAMMA_CF_STEPS} steps"
+    )
+
+
 def _exp_tail_bound(K: int, p: float, q: float, gamma_exp: float, const: float) -> float:
     """Upper bound for const * sum_{k>K} k^gamma_exp exp(-q k^p).
 
-    Integral comparison via the upper incomplete gamma function; when the
-    summand still increases past K (gamma_exp > 0, small K) one maximal
-    term is added to keep the bound valid.  Beyond the float range it is inf.
+    Integral comparison: the integral from K is q^-c Gamma(c, q K^p) / p with
+    c = (gamma_exp + 1) / p, from ``_upper_gamma``; when the summand still
+    increases past K (gamma_exp > 0, small K) one maximal term is added to
+    keep the bound valid.  Never NaN; inf only beyond the float range.
     """
-    # imported here, not at module level: only series truncation needs it,
-    # and scipy.special costs ~40 ms and 3.5 MB at import
-    from scipy.special import gamma, gammaincc
-
     c = (gamma_exp + 1.0) / p
-    z = q * float(max(K, 0)) ** p
+    Kf = float(max(K, 0))
     try:
-        integral = (1.0 / p) * q ** (-c) * gamma(c) * gammaincc(c, z)
+        integral = _upper_gamma(c, q * Kf**p, q, Kf ** (gamma_exp + 1.0)) / p
         bound = const * integral
         if gamma_exp > 0:
             x_peak = (gamma_exp / (p * q)) ** (1.0 / p)
             if x_peak > K:
                 bound += const * x_peak**gamma_exp * math.exp(-q * x_peak**p)
-    except OverflowError:  # q^(-c) or the peak is beyond any float
+    except OverflowError:  # q^-c Gamma(c) or the peak is beyond any float
         return math.inf
     return bound
 
@@ -115,6 +177,8 @@ def tail_index(
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
+    if not 1 < alpha < math.inf:  # so that the envelope exponent g exceeds -2/3
+        raise ValueError(f"weight exponent must be finite and > 1, got alpha={alpha}")
     law = space.decay()
     if not (law.q if law.s is None else law.s) > 0:
         raise UnboundedTailError(

@@ -100,8 +100,8 @@ def _grid_radius_scale(alpha: float, n: int) -> float:
     elsewhere (x0.75 at alpha = 4, x1.21 at alpha = 1.5).  The grids keep it
     so that every coefficient and envelope constant keeps its bits.
     """
-    # imported here, not at module level: scipy.special costs ~40 ms and
-    # 3.5 MB at import, and the alpha = 2 closed-form route never needs it
+    # imported here, not at module level: scipy.special costs 0.04 s and
+    # 2.5 MB at import, and the alpha = 2 closed-form route never needs it
     from scipy.special import gamma
 
     const = (gamma(alpha / 2.0) ** 2 / (4.0 * gamma(alpha))) ** (1.0 / alpha)

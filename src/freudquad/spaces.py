@@ -249,8 +249,8 @@ def _mod_poly_moments(space: SpaceWeight, k: np.ndarray) -> np.ndarray:
     per mode and at most five arrays of k's size are live at once (k, the
     shared gammaln(k+1), the total, one term's logarithms and its values).
     """
-    # imported here, not at module level: scipy.special costs ~40 ms and
-    # 3.5 MB at import, and only the integer-s mod-poly tables need it here
+    # imported here, not at module level: scipy.special costs 0.04 s and
+    # 2.5 MB at import, and only the integer-s mod-poly tables need it here
     from scipy.special import gammaln
 
     s = int(space.s)
@@ -271,7 +271,7 @@ def _moment_quad(space: SpaceWeight, k: int) -> float:
     """mu_k of a mod-poly or mod-exp window by adaptive quadrature."""
     # imported here, not at module level: loading scipy.integrate costs ~20 MB
     # and ~0.1 s, and only non-integer mod-poly and mod-exp moments need it;
-    # scipy.special likewise (~40 ms and 3.5 MB), which the closed-form route
+    # scipy.special likewise (0.04 s and 2.5 MB), which the closed-form route
     # never loads
     from scipy.integrate import quad
     from scipy.special import gammaln
@@ -362,7 +362,7 @@ def stft_grid_norm_sq(
     and integrates by the trapezoid rule in both directions.
     """
     # imported here, not at module level: the package import leaves
-    # scipy.special (~40 ms, 3.5 MB) to the functions that call it
+    # scipy.special (0.04 s, 2.5 MB) to the functions that call it
     from scipy.special import gammaln
 
     if f.alpha != 2.0:

@@ -313,6 +313,18 @@ class TestWce:
         )
         assert "3.9e-17" not in err
 
+    def test_tiny_p_tail_is_numerical_failure(self, capsys):
+        # the tail bound was NaN here, read as "below tol": rows "3,0,nan" and
+        # "5,0,nan" with exit 0; its index is past the hard cap
+        code, out, err = run_cli(capsys, "wce", "--space", "epq", "--p", "0.004",
+                                 "--q", "300", "--n-range", "3:5:2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            "numerical failure: the series tail from k = 10 cannot be bounded "
+            "below tol = 1.0e-16"
+        )
+
     def test_k_max_on_the_kernel_route_is_rejected(self, capsys):
         code, out, err = run_cli(capsys, "wce", "--space", "mse2", "--t", "1.25",
                                  "--k-max", "20")

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from freudquad import (
     sup_envelope_constant,
     tail_index,
 )
+from freudquad.kernels import _TAIL_HARD_CAP, _exp_tail_bound, _upper_gamma
 from freudquad.orthopoly import _grid_radius_scale, _sweep
 
 
@@ -142,6 +145,77 @@ class TestTailIndex:
         sup = sup_envelope_constant(basis2)
         K = tail_index(space, 4000, 1e-6, 2.0, sup)
         assert K == 3999
+
+
+class TestUpperGamma:
+    @pytest.mark.parametrize(
+        "c, tol",
+        [
+            # measured worst 2.5e-14 below the seam (c = 1/12 next to it) and
+            # 4.7e-14 above it (z = 740, where e^-z alone is subnormal)
+            (1 / 12, 1e-13), (5 / 12, 1e-13), (1.0, 1e-13), (5 / 3, 1e-13),
+            (10.0, 1e-13), (100.0, 1e-13),
+            # Gamma(333) overflows, so q^-c Gamma(c) is formed from logarithms:
+            # measured 4.4e-13 (q = 300, z next to the seam)
+            (333.0, 1e-12),
+        ],
+    )
+    def test_against_mpmath(self, c, tol):
+        # z = 0, both branches, the z = c + 1 seam from either side, and far
+        # into the continued fraction; kc = (z/q)^c is given correctly rounded
+        checked = 0
+        with mp.workdps(40):
+            for q in (1e-3, 1.0, 300.0):
+                for z in (0.0, 0.5 * c, c + 1 - 1e-9, c + 1, 2 * c + 5, 100.0, 700.0, 740.0):
+                    cm, zm, qm = mp.mpf(c), mp.mpf(z), mp.mpf(q)
+                    ref = mp.gammainc(cm, zm) * qm**-cm
+                    kc = (zm / qm) ** cm
+                    if not 2.3e-308 < ref < 1.7e308 or kc > 1.7e308:
+                        continue  # the value or its factor kc is not a normal double
+                    got = _upper_gamma(c, z, q, float(kc))
+                    assert abs(got - ref) <= tol * ref, (q, z)
+                    checked += 1
+        assert checked >= 8  # at least every z of one q
+
+    def test_tail_bound_is_never_nan(self):
+        # scipy's gamma(c) * gammaincc(c, z) read inf * 0 = NaN at small p, and
+        # NaN fails both of the bisection's comparisons
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in np.geomspace(0.004, 4.0, 13).tolist():
+                for q in np.geomspace(1e-3, 1e3, 13).tolist():
+                    for alpha in (1.01, 1.5, 2.0, 4.0, 100.0):
+                        g = 1.0 / 3.0 - 1.0 / alpha
+                        for K in (0, 1, 2, 7, 100, 10**4, 10**6, _TAIL_HARD_CAP):
+                            bound = _exp_tail_bound(K, p, q, g, 1.0)
+                            assert bound >= 0.0, (p, q, alpha, K)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0, math.inf])
+    def test_alpha_outside_the_domain_is_rejected(self, alpha):
+        # at alpha = 0.5 the envelope exponent is -5/3, so c < 0: scipy's bound
+        # was NaN there, read as "the whole tail is below tol" (K = start - 1)
+        with pytest.raises(ValueError, match="weight exponent must be finite and > 1"):
+            tail_index(SpaceWeight.mod_exp(1.0), 6, 1e-16, alpha, 1.0)
+
+    @pytest.mark.parametrize("q", [300.0, 100.0])
+    def test_tiny_p_bound_is_finite(self, q):
+        # c = (5/6)/0.004 = 208: scipy's Gamma(c) overflowed and read inf * 0.
+        # q = 300 puts z = 302 on the continued fraction (6.8e-131); q = 100
+        # puts z = 101 on the series, with q^-c Gamma(c) from logarithms (3.7e-23);
+        # measured 2.1e-14 and 5.7e-14 relative
+        bound = _exp_tail_bound(6, 0.004, q, -1.0 / 6.0, 1.0)
+        with mp.workdps(40):
+            c = (1 + mp.mpf(-1.0 / 6.0)) / mp.mpf(0.004)
+            z = q * mp.mpf(6) ** mp.mpf(0.004)
+            ref = mp.gammainc(c, z) * mp.mpf(q) ** -c / mp.mpf(0.004)
+        assert abs(bound - ref) <= 1e-13 * ref
+
+    def test_unconverged_continued_fraction_is_typed(self):
+        # at the seam the fraction takes about c^(1/3) steps: 9 015 at c = 1e9,
+        # 19 311 at c = 1e10, past the cap
+        assert _upper_gamma(1e9, 1e9 + 1.0, 1.0, 1.0) == 0.0
+        with pytest.raises(UnboundedTailError, match="did not converge"):
+            _upper_gamma(1e10, 1e10 + 1.0, 1.0, 1.0)
 
 
 class TestSupEnvelopeConstant:

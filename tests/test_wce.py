@@ -476,6 +476,53 @@ class TestSeriesTruncation:
         with pytest.raises(FreudQuadError, match="underflows to 0"):
             series_truncation(space, 84, 1e-20, 2.0)
 
+    def test_tiny_p_tail_is_unbounded_not_nan(self):
+        # Gamma(c) overflows at c = (5/6)/0.004 and Q(c, z) underflows, so
+        # scipy's product was inf * 0 = NaN, which fails both bisection tests
+        # and read as "the whole tail is below tol" (K = start - 1 = 5); the
+        # bound is finite, but its index is past the hard cap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnboundedTailError, match="from k = 6"):
+                series_truncation(SpaceWeight.exponential(0.004, 300.0), 6, 1e-16, 2.0)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 4.0])
+    def test_subnormal_target(self, alpha):
+        # At alpha = 2 the target is 3.43e-317.  The 50-digit mpmath bound
+        # q^-c Gamma(c, q K^p) / p (p = 2, q = 0.3, c = 5/12) is 2.67e-315 at
+        # K = 49, above the target, and 3.30e-328 at K = 50; scipy's Gamma(c, z)
+        # underflowed to 0.0 at K = 49 and gave 49
+        space = SpaceWeight.exponential(2.0, 0.3)
+        assert series_truncation(space, 48, 1e-16, alpha) == 50
+
+    # recorded with scipy's gamma * gammaincc, before the package's own
+    # incomplete gamma function: the exact row sum can absorb a one-mode
+    # shift in K, so the golden values alone would not catch one
+    _PINNED_INDICES = {
+        # fig2a and fig2b, Gauss rules from k = 2n, n = 3, 5, ..., 21
+        (1.0, 2.0): dict(zip(range(6, 43, 4), (
+            5725, 5859, 5964, 6055, 6135, 6208, 6276, 6339, 6398, 6454))),
+        (0.5, 2.0): dict(zip(range(6, 43, 4), (
+            23407, 23724, 23968, 24172, 24351, 24512, 24659, 24796, 24924, 25044))),
+        # fig3a, shifted rules from k = n + 1 (the even starts 6..22 are fig2b's)
+        (0.5, 2.0, "shifted"): dict(zip(range(4, 23, 2), (
+            23194, 23407, 23578, 23724, 23852, 23968, 24074, 24172, 24264, 24351))),
+    }
+
+    @pytest.mark.parametrize("key", list(_PINNED_INDICES))
+    def test_pinned_figure_indices(self, key):
+        space = SpaceWeight.mod_exp(key[0])
+        got = {start: series_truncation(space, start, 1e-16, key[1])
+               for start in self._PINNED_INDICES[key]}
+        assert got == self._PINNED_INDICES[key]
+
+    def test_pinned_alpha4_table_indices(self):
+        # wce --alpha 4 --space epq --p 1 --q 1 --n-range 3:41:2, from k = 2n
+        space = SpaceWeight.exponential(1.0, 1.0)
+        got = [series_truncation(space, 2 * n, 1e-16, 4.0) for n in range(3, 42, 2)]
+        assert got == [44, 47, 51, 55, 59, 63, 67, 71, 75, 79,
+                       83, 87, 91, 95, 99, 103, 107, 111, 115, 119]
+
     # a one-node row ([x], [1]) sums lambda_k^-1 e_k^2 with e_k = h_k(x) for
     # k >= 1: the diagonal of the kernel expansion, cut by the envelope bound
 
