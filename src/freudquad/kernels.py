@@ -104,7 +104,7 @@ def _upper_gamma(c: float, z: float, q: float, kc: float) -> float:
     write q^-c z^c e^-z as kc e^-z, so neither power overflows or
     underflows on its own; q^-c Gamma(c) falls back to logarithms where a
     factor leaves the float range.  Raises ``OverflowError`` where the
-    value is beyond any float.
+    value is beyond any float, ``UnboundedTailError`` past the step cap.
     """
     if z < c + 1.0:
         try:

@@ -498,23 +498,22 @@ class TestSeriesTruncation:
     # recorded with scipy's gamma * gammaincc, before the package's own
     # incomplete gamma function: the exact row sum can absorb a one-mode
     # shift in K, so the golden values alone would not catch one
-    _PINNED_INDICES = {
-        # fig2a and fig2b, Gauss rules from k = 2n, n = 3, 5, ..., 21
-        (1.0, 2.0): dict(zip(range(6, 43, 4), (
-            5725, 5859, 5964, 6055, 6135, 6208, 6276, 6339, 6398, 6454))),
-        (0.5, 2.0): dict(zip(range(6, 43, 4), (
-            23407, 23724, 23968, 24172, 24351, 24512, 24659, 24796, 24924, 25044))),
-        # fig3a, shifted rules from k = n + 1 (the even starts 6..22 are fig2b's)
-        (0.5, 2.0, "shifted"): dict(zip(range(4, 23, 2), (
-            23194, 23407, 23578, 23724, 23852, 23968, 24074, 24172, 24264, 24351))),
-    }
-
-    @pytest.mark.parametrize("key", list(_PINNED_INDICES))
-    def test_pinned_figure_indices(self, key):
-        space = SpaceWeight.mod_exp(key[0])
-        got = {start: series_truncation(space, start, 1e-16, key[1])
-               for start in self._PINNED_INDICES[key]}
-        assert got == self._PINNED_INDICES[key]
+    @pytest.mark.parametrize(
+        "s, starts, Ks",
+        [
+            # fig2a and fig2b: Gauss rules from k = 2n, n = 3, 5, ..., 21
+            (1.0, range(6, 43, 4),
+             (5725, 5859, 5964, 6055, 6135, 6208, 6276, 6339, 6398, 6454)),
+            (0.5, range(6, 43, 4),
+             (23407, 23724, 23968, 24172, 24351, 24512, 24659, 24796, 24924, 25044)),
+            # fig3a: shifted rules from k = n + 1
+            (0.5, range(4, 23, 2),
+             (23194, 23407, 23578, 23724, 23852, 23968, 24074, 24172, 24264, 24351)),
+        ],
+    )
+    def test_pinned_figure_indices(self, s, starts, Ks):
+        space = SpaceWeight.mod_exp(s)
+        assert [series_truncation(space, k, 1e-16, 2.0) for k in starts] == list(Ks)
 
     def test_pinned_alpha4_table_indices(self):
         # wce --alpha 4 --space epq --p 1 --q 1 --n-range 3:41:2, from k = 2n
