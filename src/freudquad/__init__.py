@@ -37,7 +37,6 @@ from .orthopoly import (
     weight_value,
 )
 from .spaces import (
-    GridSpec,
     HermiteExpansion,
     SpaceWeight,
     coeff_norm_sq,
@@ -60,7 +59,7 @@ __all__ = [
     # kernels
     "mehler", "tail_index", "sup_envelope_constant",
     # spaces
-    "SpaceWeight", "HermiteExpansion", "GridSpec", "lambda_of",
+    "SpaceWeight", "HermiteExpansion", "lambda_of",
     "coeff_norm_sq", "radial_moment", "modulation_norm_sq",
     "stft_grid_norm_sq",
     # sampling systems

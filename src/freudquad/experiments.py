@@ -62,6 +62,8 @@ class FigureSpec:
     alpha: float = 2.0
 
     def __post_init__(self):
+        if not self.n_values:
+            raise ValueError("n_values must hold at least one n, got none")
         if self.eps is not None and not 0 <= self.eps < np.inf:
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
         if self.k_max is None and self.space_weight.decay().s is not None:

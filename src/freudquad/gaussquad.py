@@ -53,9 +53,7 @@ def _christoffel(basis: FreudBasis, x: np.ndarray, n: int):
     The step is below the eigenvalue's own rounding, so how h_n' rounds does
     not reach the node: the nodes are those of a step through the
     differentiated recurrence, bit for bit.  h_{n-1} and h_n, which may sit
-    in two blocks, are copied before a block is squared in place.  Each row
-    is read once, so the sweep's blocks hold only ``_CHRISTOFFEL_BYTES`` of
-    values, and each is dropped before the next is built.
+    in two blocks, are copied before a block is squared in place.
     """
     norm_sq, h_cur = np.zeros_like(x), None
     block = max(1, _CHRISTOFFEL_BYTES // (8 * max(x.size, 1)))
@@ -71,6 +69,8 @@ def _christoffel(basis: FreudBasis, x: np.ndarray, n: int):
 
 def gauss_rule(basis: FreudBasis, n: int) -> QuadratureRule:
     """Build the n-node Gauss rule from a basis with capacity > n."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"node count must be an integer, got n={n!r}")
     if n < 1:
         raise ValueError(f"node count must be >= 1, got n={n}")
     if n > basis.n_max - 1:
@@ -104,3 +104,15 @@ def integrate(rule: QuadratureRule, f: Callable[[float], float]) -> float:
                 f"integrand evaluation failed at node index {j} (x={x!r})", index=j
             ) from exc
     return math.fsum(rule.omega * values)
+
+
+def _node_set(nodes, weights, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Float arrays of a weighted node set, which must be 1-D, of equal
+    length and finite (``wce_me2``, ``wce_series`` and ``build_system``)."""
+    nodes = np.asarray(nodes, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if nodes.ndim != 1 or nodes.shape != weights.shape:
+        raise ValueError(f"nodes and {name} must be 1-D arrays of equal length")
+    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+        raise ValueError(f"nodes and {name} must be finite")
+    return nodes, weights

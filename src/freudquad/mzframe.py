@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .errors import GapViolationError, NotAFrameError
-from .gaussquad import QuadratureRule
+from .gaussquad import QuadratureRule, _node_set
 from .orthopoly import FreudBasis, basis_matrix, mrs_number
 from .spaces import SpaceWeight
 from .wce import _wce_series_rows
@@ -59,18 +59,15 @@ class MZSystem:
 def build_system(basis: FreudBasis, n: int, nodes, tau) -> MZSystem:
     """Assemble the Gram matrix and sampling constants for given nodes/tau.
 
-    Fails with ``NotAFrameError`` when the smallest eigenvalue is at the
-    numerical-rank floor (the node set cannot control all of Pi_n), and
-    reports the near-null coefficient direction.
+    Nodes and tau that are not 1-D, of equal length and finite, an empty or
+    repeated node, or a negative tau raise ``ValueError``.  Fails with
+    ``NotAFrameError`` when the smallest eigenvalue is at the numerical-rank
+    floor (the node set cannot control all of Pi_n), and reports the
+    near-null coefficient direction.
     """
-    nodes = np.asarray(nodes, dtype=float).copy()
-    tau = np.asarray(tau, dtype=float).copy()
-    if nodes.ndim != 1 or nodes.shape != tau.shape:
-        raise ValueError("nodes and tau must be 1-D arrays of equal length")
+    nodes, tau = (arr.copy() for arr in _node_set(nodes, tau, "tau"))
     if nodes.size < 1:
         raise ValueError("need at least one node")
-    if not (np.isfinite(nodes).all() and np.isfinite(tau).all()):
-        raise ValueError("nodes and tau must be finite")
     if np.unique(nodes).size != nodes.size:
         raise ValueError("nodes must be distinct")
     if np.any(tau < 0):

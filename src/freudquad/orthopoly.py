@@ -325,6 +325,8 @@ def build_basis(alpha: float, n_max: int) -> FreudBasis:
     """
     if not 1 < alpha < math.inf:
         raise ValueError(f"weight exponent must be finite and > 1, got alpha={alpha}")
+    if not isinstance(n_max, (int, np.integer)):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
 

@@ -33,7 +33,6 @@ from .errors import ConvergenceError, GridInsufficientError
 __all__ = [
     "SpaceWeight",
     "HermiteExpansion",
-    "GridSpec",
     "lambda_of",
     "coeff_norm_sq",
     "radial_moment",
@@ -202,9 +201,6 @@ class HermiteExpansion:
         c[k] = 1.0
         return cls(c, alpha)
 
-    def norm_sq(self) -> float:
-        return float(np.sum(self.coeffs**2))
-
 
 def lambda_of(space: SpaceWeight, k):
     """lambda_k for scalar or array k >= 0."""
@@ -334,18 +330,6 @@ def modulation_norm_sq(space: SpaceWeight, f: HermiteExpansion) -> float:
     return float(math.fsum(terms))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Tensor grid for the 2-D cross-check integral.
-
-    ``radius=None`` sizes the square from the expansion degree so the
-    integrand at the boundary is below 1e-18 of its peak.
-    """
-
-    radius: float | None = None
-    points: int = 801
-
-
 def _auto_radius(m: int, space: SpaceWeight) -> float:
     decay = math.pi - (space.s if space.kind == "mod-exp2" else 0.0)
     r_sq = (m + 40.0 * math.sqrt(m + 1.0) + 60.0) / decay
@@ -353,13 +337,15 @@ def _auto_radius(m: int, space: SpaceWeight) -> float:
 
 
 def stft_grid_norm_sq(
-    space: SpaceWeight, f: HermiteExpansion, grid: GridSpec | None = None
+    space: SpaceWeight, f: HermiteExpansion, *, radius: float | None = None,
+    points: int = 801,
 ) -> float:
     """2-D tensor-trapezoid evaluation of the weighted transform norm.
 
     Independent of the diagonal path: evaluates
-    |sum_k fhat_k sqrt(pi^k/k!) zbar^k|^2 e^{-pi|z|^2} w(|z|) on a grid
-    and integrates by the trapezoid rule in both directions.
+    |sum_k fhat_k sqrt(pi^k/k!) zbar^k|^2 e^{-pi|z|^2} w(|z|) on a square
+    grid of ``points`` per side over [-radius, radius]^2 (by default sized so
+    the boundary integrand is below 1e-18 of its peak), trapezoid in x and y.
     """
     # imported here, not at module level: the package import leaves
     # scipy.special (0.04 s, 2.5 MB) to the functions that call it
@@ -368,10 +354,9 @@ def stft_grid_norm_sq(
     if f.alpha != 2.0:
         raise ValueError(f"modulation norms require alpha=2, got {f.alpha}")
     _require_modulation(space)
-    grid = grid or GridSpec()
     m = f.coeffs.size - 1
-    R = grid.radius if grid.radius is not None else _auto_radius(m, space)
-    u = np.linspace(-R, R, grid.points)
+    R = radius if radius is not None else _auto_radius(m, space)
+    u = np.linspace(-R, R, points)
     X, Y = np.meshgrid(u, u, indexing="ij")
     Z = X - 1j * Y  # conjugate argument of the analytic factor
     mono = f.coeffs * np.exp(

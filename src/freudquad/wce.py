@@ -2,7 +2,8 @@
 
 Both evaluation routes return the squared worst-case error of the rule
 sum omega(x) f(x) against integral f W over the unit ball of the selected
-space:
+space, for any nodes and weights that are 1-D, of equal length and finite
+(others raise ``ValueError``):
 
 * ``wce_me2``    closed-form kernel route for geometric decay (alpha=2);
 * ``wce_series`` coefficient route sum_k lambda_k^{-1} e_k^2 over the
@@ -39,6 +40,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import CapacityError, FreudQuadError, UnboundedTailError
+from .gaussquad import _node_set
 from .kernels import tail_index
 from .orthopoly import FreudBasis, _sweep
 from .spaces import SpaceWeight, lambda_of
@@ -71,7 +73,7 @@ def wce_me2(nodes, omega, t: float) -> float:
         1/(sqrt(2) t) + sum_{x,y} omega(x) omega(y) K_t(x,y)
                       - (2/t) sum_x omega(x) W(x)
 
-    which holds for arbitrary nodes and weights.  For a rule that
+    which holds for arbitrary finite nodes and weights.  For a rule that
     integrates W^2 exactly the last term equals 2/(sqrt(2) t) and the
     expression collapses to the double sum minus 1/(sqrt(2) t); keeping
     the computed cross term removes first-order sensitivity to the
@@ -100,8 +102,7 @@ def wce_me2(nodes, omega, t: float) -> float:
     """
     if not 1 < t < math.inf:
         raise ValueError(f"kernel parameter must be finite and exceed 1, got t={t}")
-    nodes = np.asarray(nodes, dtype=float)
-    omega = np.asarray(omega, dtype=float)
+    nodes, omega = _node_set(nodes, omega, "omega")
     if nodes.size == 0:
         warnings.warn(
             "empty node set: returning the worst-case error of the zero rule",
@@ -119,8 +120,6 @@ def wce_me2(nodes, omega, t: float) -> float:
         with mp.workdps(dps):
             parts = _me2_parts(xs, ws, w0, mirrored, mp.mpf(t))
             val = mp.fsum(parts)
-            if not mp.isfinite(val):
-                return float(val)
             lost = dps if val <= 0 else mp.log10(mp.fsum(parts, absolute=True) / val)
             if dps - lost >= _ME2_DIGITS_LEFT:
                 return float(val)
@@ -138,8 +137,7 @@ def _me2_parts(xs, ws, w0, mirrored: bool, t):
     beta, gamma = 4 * t * c, (t * t + 1) * c
     xs = [mp.mpf(x) for x in xs]
     cross = mp.fsum(w * mp.exp(-mp.pi * x * x) for w, x in zip(ws, xs))
-    # u = omega g(x); a node with u = 0 (zero weight, or infinitely far
-    # out) adds nothing, and dropping it keeps 0 * inf out of the sum
+    # u = omega g(x); a node of zero weight adds nothing and is dropped
     us = [w * mp.exp(-gamma * x * x) for w, x in zip(ws, xs)]
     xu = [(x, u) for x, u in zip(xs, us) if u]
     rows = []  # row i: u_i (u_i k_ii + 2 sum_{j > i} u_j k_ij)
@@ -207,7 +205,8 @@ def _wce_series_rows(
     sweep block's terms are formed as the block arrives and folded in once
     the block is freed, so the memory held is bounded by the sweep's block.
     Returns one entry per row: the value, or the ``ValueError`` or
-    ``FreudQuadError`` that row raised (bad input, truncation, capacity, or
+    ``FreudQuadError`` that row raised (a negative start, nodes and weights
+    that are not 1-D, of equal length and finite, truncation, capacity, or
     the shared lambda_k evaluation), which fails that row alone.
     """
     results: list = [None] * len(rows)
@@ -219,10 +218,7 @@ def _wce_series_rows(
         try:
             if start < 0:
                 raise ValueError("start must be >= 0")
-            nodes = np.asarray(nodes, dtype=float)
-            omega = np.asarray(omega, dtype=float)
-            if nodes.shape != omega.shape or nodes.ndim != 1:
-                raise ValueError("nodes and omega must be 1-D arrays of equal length")
+            nodes, omega = _node_set(nodes, omega, "omega")
             if k_max is not None:
                 K = k_max
             elif start in truncation:

@@ -15,6 +15,10 @@ from freudquad.cli import build_parser, main
 GOLDEN_CSV = json.loads(
     (Path(__file__).parent / "data" / "figures_n3_5_7.json").read_text()
 )
+# to_csv() of every figure at its default n-range (run_figure(fid))
+GOLDEN_DEFAULT_CSV = json.loads(
+    (Path(__file__).parent / "data" / "figures_default.json").read_text()
+)
 
 
 class TestFigureSpec:
@@ -26,6 +30,12 @@ class TestFigureSpec:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             figure_spec("fig9z")
+
+    @pytest.mark.parametrize("fid", ["fig1a", "fig2a", "fig3b"])
+    def test_empty_n_values_is_rejected(self, fid):
+        # failed inside the planner with "max() arg is an empty sequence"
+        with pytest.raises(ValueError, match="n_values must hold at least one n"):
+            run_figure(fid, n_values=())
 
     def test_overrides_take_effect(self):
         spec = figure_spec("fig3a", eps=0.2, seed=13)
@@ -274,3 +284,8 @@ class TestRunFigure:
 @pytest.mark.parametrize("fid", FIGURE_IDS)
 def test_golden_csv_bytes(fid):
     assert run_figure(fid, n_values=(3, 5, 7)).to_csv() == GOLDEN_CSV[fid]
+
+
+@pytest.mark.parametrize("fid", FIGURE_IDS)
+def test_golden_default_csv_bytes(fid):
+    assert run_figure(fid).to_csv() == GOLDEN_DEFAULT_CSV[fid]

@@ -192,6 +192,19 @@ class TestGaussRule:
         with pytest.raises(ValueError):
             gauss_rule(basis2, 0)
 
+    @pytest.mark.parametrize("n", [3.0, 3.5, "3", None])
+    def test_non_integral_n_is_rejected(self, basis2, n):
+        # 3.0 failed inside numpy with a TypeError
+        with pytest.raises(ValueError, match="node count must be an integer"):
+            gauss_rule(basis2, n)
+
+    @pytest.mark.parametrize("n", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_numpy_integer_n(self, basis2, n):
+        rule, ref = gauss_rule(basis2, n), gauss_rule(basis2, 5)
+        assert rule.n == 5
+        assert np.array_equal(rule.nodes, ref.nodes)
+        assert np.array_equal(rule.omega, ref.omega)
+
 
 class TestIntegrate:
     def test_h0(self, basis2):

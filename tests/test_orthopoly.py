@@ -103,6 +103,19 @@ class TestBuildBasisAlpha2:
         with pytest.raises(ValueError):
             build_basis(2.0, 0)
 
+    @pytest.mark.parametrize("alpha", [2.0, 4.0])
+    @pytest.mark.parametrize("n_max", [5.5, 5.0, "5", None])
+    def test_non_integral_n_max_is_rejected(self, alpha, n_max):
+        # 5.5 built a basis with n_max = 5.5
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            build_basis(alpha, n_max)
+
+    def test_numpy_integer_n_max(self):
+        for n_max in (np.int64(6), np.int32(6)):
+            basis = build_basis(2.0, n_max)
+            assert basis.n_max == 6
+            assert np.array_equal(basis.coeffs, build_basis(2.0, 6).coeffs)
+
 
 class TestOrthonormalityAlpha2:
     def test_against_trapezoid_oracle(self, basis2, trapezoid_oracle):

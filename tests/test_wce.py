@@ -81,6 +81,29 @@ class TestWceMe2:
         with pytest.raises(ValueError):
             wce_me2(rule.nodes, rule.omega, 1.0)
 
+    @pytest.mark.parametrize(
+        "nodes, omega",
+        [
+            # zip would drop the second node and score the one-node rule
+            ([0.0, 1.0], [1.0]),
+            ([0.0], [1.0, 1.0]),
+            ([[0.0, 1.0]], [[1.0, 1.0]]),
+            (0.0, 1.0),
+        ],
+    )
+    def test_mismatched_or_not_1d_is_rejected(self, nodes, omega):
+        with pytest.raises(ValueError, match="nodes and omega must be 1-D arrays "
+                           "of equal length"):
+            wce_me2(nodes, omega, 1.25)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_node_or_weight_is_rejected(self, bad):
+        # each of these scored NaN, or an infinite node dropped out silently
+        for nodes, omega in (([0.0, bad], [1.0, 1.0]), ([-0.5, 0.5], [1.0, bad]),
+                             ([-bad, bad], [1.0, 1.0])):
+            with pytest.raises(ValueError, match="nodes and omega must be finite"):
+                wce_me2(np.array(nodes), np.array(omega), 1.25)
+
     def test_cross_path_small(self, basis2, basis2_deep):
         rule = gauss_rule(basis2, 3)
         v_kernel = wce_me2(rule.nodes, rule.omega, 1.25)
@@ -181,10 +204,10 @@ class TestWceMe2Terms:
         assert calls[0] == 2 * (20 + 210 + 20)
 
     def test_nodes_without_weight_add_nothing(self):
-        # u = omega g(x) is 0 at an infinite node or a zero weight, and
-        # such a node drops out instead of making 0 * inf
+        # u = omega g(x) is 0 at a zero weight, and such a node drops out;
+        # an infinite node is rejected (test_non_finite_node_or_weight_is_rejected)
         t, zero_rule = 1.25, 1.0 / (math.sqrt(2.0) * 1.25)
-        assert wce_me2(np.array([-np.inf, np.inf]), np.ones(2), t) == pytest.approx(
+        assert wce_me2(np.array([-0.5, 0.5]), np.zeros(2), t) == pytest.approx(
             zero_rule, rel=1e-15
         )
         rule = (np.array([-0.5, 0.25, 3.0]), np.array([0.3, 0.0, 0.4]))
@@ -325,6 +348,33 @@ class TestWceSeriesRows:
                 nodes, omega, basis2, SpaceWeight.polynomial(2.0), start, k_max=400
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_fails_alone(self, basis2, bad):
+        # a NaN or inf node or weight summed to a NaN value; the other rows
+        # keep their bits
+        rows = self.rows(basis2)
+        good = _wce_series_rows(rows, basis2, SpaceWeight.polynomial(2.0), 1e-16, 400)
+        nodes, omega, start = rows[0]
+        bad_rows = [(np.where(nodes == nodes[0], bad, nodes), omega, start),
+                    (nodes, np.where(omega == omega[0], bad, omega), start)]
+        values = _wce_series_rows(
+            rows[:1] + bad_rows + rows[1:], basis2, SpaceWeight.polynomial(2.0), 1e-16, 400
+        )
+        for value in values[1:3]:
+            assert isinstance(value, ValueError)
+            assert str(value) == "nodes and omega must be finite"
+        assert values[:1] + values[3:] == good
+        with pytest.raises(ValueError, match="nodes and omega must be finite"):
+            wce_series(*bad_rows[0][:2], basis2, SpaceWeight.polynomial(2.0), start,
+                       k_max=400)
+
+    def test_mismatched_row_fails_alone(self, basis2):
+        rows = self.rows(basis2)
+        rows.insert(1, (rows[0][0], rows[0][1][:-1], 6))
+        values = _wce_series_rows(rows, basis2, SpaceWeight.polynomial(2.0), 1e-16, 400)
+        assert str(values[1]) == "nodes and omega must be 1-D arrays of equal length"
+        assert all(isinstance(v, float) for v in values[:1] + values[2:])
+
     def test_failed_lambda_evaluation_fails_every_live_row(self, basis2, monkeypatch):
         def failing(space, k):
             raise ConvergenceError("synthetic moment failure")
@@ -354,7 +404,7 @@ class TestStreamedSeriesRows:
 
     def test_each_row_is_the_fsum_of_its_terms(self, deep, monkeypatch):
         # folds of one sweep block each end inside the rows; e^2 overflows
-        # to +inf on the 1e200 row, and the NaN row has only NaN terms
+        # to +inf on the 1e200 row, and the NaN row is rejected alone
         folds = []
         fold = _ExactSums.fold
 
@@ -376,7 +426,7 @@ class TestStreamedSeriesRows:
             e = np.vecdot(basis_matrix(deep, nodes, self.K)[start:], omega)
             assert value == math.fsum(e * e / lam[start:])
         assert got[-2] == math.inf
-        assert math.isnan(got[-1])
+        assert str(got[-1]) == "nodes and omega must be finite"
 
     def test_one_fold_per_sweep_block(self, deep, monkeypatch):
         # each fold takes one block's terms, one per row and mode of the
