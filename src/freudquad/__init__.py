@@ -19,7 +19,7 @@ from .errors import (
 )
 from .experiments import FIGURE_IDS, FigureSpec, figure_spec, run_figure
 from .gaussquad import QuadratureRule, gauss_rule, integrate
-from .kernels import mehler, sup_envelope_constant, tail_index
+from .kernels import mehler, series_truncation, sup_envelope_constant
 from .mzframe import (
     MZSystem,
     build_system,
@@ -57,7 +57,7 @@ __all__ = [
     # rules
     "QuadratureRule", "gauss_rule", "integrate",
     # kernels
-    "mehler", "tail_index", "sup_envelope_constant",
+    "mehler", "series_truncation", "sup_envelope_constant",
     # spaces
     "SpaceWeight", "HermiteExpansion", "lambda_of",
     "coeff_norm_sq", "radial_moment", "modulation_norm_sq",

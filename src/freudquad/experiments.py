@@ -32,10 +32,11 @@ import numpy as np
 
 from .errors import CapacityError
 from .gaussquad import gauss_rule
+from .kernels import series_truncation
 from .mzframe import build_system, generalized_weights, perturb_nodes, support_check
 from .orthopoly import build_basis
 from .spaces import SpaceWeight
-from .wce import WCETable, _wce_series_rows, series_truncation, wce_me2
+from .wce import WCETable, _wce_series_rows, wce_me2
 
 __all__ = ["FigureSpec", "figure_spec", "run_figure", "FIGURE_IDS"]
 

@@ -8,13 +8,14 @@ alpha = 2 is
 All other kernels are expansions sum lambda_k^{-1} h_k(x) h_k(y).  Their
 tails are bounded through the weight's growth law (``SpaceWeight.decay``)
 and the uniform-in-x envelope sup_x |h_k(x)|^2 <= C k^(1/3 - 1/alpha).
-The theory gives the envelope exponent and only the existence of C;
-``sup_envelope_constant`` measures C on a basis for absolute tail bounds
-(``tail_index``).  The series route (``wce.wce_series``) bounds its tail
-relative to the first retained term, where C cancels, so it uses the
-exponent alone.  An exponential tail is bounded by an integral, an upper
-incomplete gamma function Gamma(c, z) that this module evaluates itself
-(``_upper_gamma``), so series truncation loads no special-function module.
+The theory gives the envelope exponent and only the existence of C.
+``series_truncation``, which cuts every series of the package (the
+``wce.wce_series`` sums and the figure plans), bounds a tail relative to
+its first retained term, where C cancels, so it uses the exponent alone;
+``sup_envelope_constant`` measures C on a basis, and no bound reads it.
+An exponential tail is bounded by an integral, an upper incomplete gamma
+function Gamma(c, z) that this module evaluates itself (``_upper_gamma``),
+so series truncation loads no special-function module.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ import sys
 
 import numpy as np
 
-from .errors import UnboundedTailError
+from .errors import FreudQuadError, UnboundedTailError
 from .orthopoly import FreudBasis, _grid_radius_scale, _sweep
-from .spaces import SpaceWeight
+from .spaces import SpaceWeight, lambda_of
 
 __all__ = [
     "mehler",
+    "series_truncation",
     "sup_envelope_constant",
-    "tail_index",
 ]
 
 _TAIL_HARD_CAP = 50_000_000
@@ -166,62 +167,78 @@ def _exp_tail_bound(K: int, p: float, q: float, gamma_exp: float, const: float) 
     return bound
 
 
-def tail_index(
-    space: SpaceWeight, start: int, tol: float, alpha: float, sup_const: float
+def series_truncation(
+    space: SpaceWeight, start: int, tol: float, alpha: float,
+    sup_const: float | None = None,
 ) -> int:
-    """Smallest K with sum_{k>K} lambda_k^{-1} * sup_const * k^(1/3-1/alpha) < tol.
+    """Truncation index of the series sum_{k >= start} lambda_k^{-1} e_k^2:
+    the smallest K whose envelope tail sum_{k>K} lambda_k^{-1} k^g, with
+    g = 1/3 - 1/alpha, is below ``tol`` times the first retained envelope
+    term max(start, 1)^g / lambda_start.
 
-    May return start-1, meaning the whole tail from ``start`` is already
-    below the tolerance.  Raises when the weights grow too slowly for the
-    envelope bound to reach ``tol`` below a hard cap.
+    The envelope constant C of sup_x |h_k|^2 <= C k^g multiplies the tail
+    and the first term alike, so it cancels and the index depends on the
+    space, ``start``, ``tol`` and alpha alone.  ``sup_const`` is accepted
+    for older callers and has no effect.  Raises ``UnboundedTailError``
+    where the weights grow too slowly for the bound to reach the target
+    below a hard cap.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
+    if tol >= 1:  # the index would fall below start, so every rule reads as exact
+        raise ValueError("tol must be below 1")
     if not 1 < alpha < math.inf:  # so that the envelope exponent g exceeds -2/3
         raise ValueError(f"weight exponent must be finite and > 1, got alpha={alpha}")
+    g = 1.0 / 3.0 - 1.0 / alpha
+    lam_start = float(lambda_of(space, start))
+    if math.isinf(lam_start):
+        raise FreudQuadError(
+            f"lambda_start (k = {start}) of the {space.kind} weight overflows to "
+            "inf, so the series tail bound cannot be formed"
+        )
+    target = tol * (max(start, 1) ** g / lam_start)
+    if target == 0.0:
+        raise FreudQuadError(
+            f"tol = {tol:.1e} times the first retained envelope term (k = {start}, "
+            f"lambda_start = {lam_start:.3e}) underflows to 0, so the series "
+            "tail bound cannot be formed"
+        )
     law = space.decay()
     if not (law.q if law.s is None else law.s) > 0:
-        raise UnboundedTailError(
-            f"{space.kind} weight with no growth cannot meet a finite tail bound"
-        )
-    g = 1.0 / 3.0 - 1.0 / alpha
-
-    if law.s is not None:
-        beta = law.s - g
-        if beta <= 1.0:
-            raise UnboundedTailError(
-                f"polynomial weight s={law.s} decays too slowly against the "
-                f"k^({g:.3f}) envelope (needs s > {1.0 + g:.3f})"
-            )
-        # sum_{k>K} k^-beta <= K^(1-beta)/(beta-1)
+        why = f"{space.kind} weight with no growth cannot meet a finite tail bound"
+    elif law.s is not None and law.s - g <= 1.0:
+        why = (f"polynomial weight s={law.s} decays too slowly against the "
+               f"k^({g:.3f}) envelope (needs s > {1.0 + g:.3f})")
+    elif law.s is not None:
+        beta = law.s - g  # sum_{k>K} k^-beta <= K^(1-beta)/(beta-1)
         try:
-            target = (sup_const * law.c / (tol * (beta - 1.0))) ** (1.0 / (beta - 1.0))
-            K = max(start - 1, 1, math.ceil(target))
+            K = max(start - 1, 1, math.ceil(
+                (law.c / (target * (beta - 1.0))) ** (1.0 / (beta - 1.0))))
         except OverflowError:  # K is beyond any float
             K = math.inf
-        if K > _TAIL_HARD_CAP:
-            raise UnboundedTailError(
-                f"tail bound needs K ~ {K:.3e} terms, above the cap of {_TAIL_HARD_CAP}"
-            )
-        return K
+        if K <= _TAIL_HARD_CAP:
+            return K
+        why = f"tail bound needs K ~ {K:.3e} terms, above the cap of {_TAIL_HARD_CAP}"
+    else:
+        def bound(K: int) -> float:
+            return _exp_tail_bound(K, law.p, law.q, g, law.c)
 
-    def bound(K: int) -> float:
-        return _exp_tail_bound(K, law.p, law.q, g, law.c * sup_const)
-
-    lo = max(start - 1, 0)
-    if bound(lo) < tol:
-        return lo
-    hi = max(lo, 1)
-    while bound(hi) >= tol:
-        hi *= 2
-        if hi > _TAIL_HARD_CAP:
-            raise UnboundedTailError(
-                f"tail bound needs more than the cap of {_TAIL_HARD_CAP} terms"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bound(mid) < tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        lo = max(start - 1, 0)
+        if bound(lo) < target:
+            return lo
+        hi = max(lo, 1)
+        while hi <= _TAIL_HARD_CAP and bound(hi) >= target:
+            hi *= 2
+        if hi <= _TAIL_HARD_CAP:
+            while hi - lo > 1:  # bound(lo) >= target > bound(hi)
+                mid = (lo + hi) // 2
+                if bound(mid) < target:
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+        why = f"tail bound needs more than the cap of {_TAIL_HARD_CAP} terms"
+    raise UnboundedTailError(
+        f"the series tail from k = {start} cannot be bounded below tol = {tol:.1e} "
+        f"relative to its first retained envelope term: {why}"
+    )

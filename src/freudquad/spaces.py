@@ -45,6 +45,7 @@ _KINDS = {
     "poly": ("hs", "log-n"), "exp": ("epq", "sqrt-n"), "mod-poly": ("ms", "log-n"),
     "mod-exp": ("mse", "sqrt-n"), "mod-exp2": ("mse2", "n"),
 }
+_GRID_POINTS = 801  # per side of the stft_grid_norm_sq grid
 
 
 class Decay(NamedTuple):
@@ -337,15 +338,15 @@ def _auto_radius(m: int, space: SpaceWeight) -> float:
 
 
 def stft_grid_norm_sq(
-    space: SpaceWeight, f: HermiteExpansion, *, radius: float | None = None,
-    points: int = 801,
+    space: SpaceWeight, f: HermiteExpansion, *, radius: float | None = None
 ) -> float:
     """2-D tensor-trapezoid evaluation of the weighted transform norm.
 
     Independent of the diagonal path: evaluates
     |sum_k fhat_k sqrt(pi^k/k!) zbar^k|^2 e^{-pi|z|^2} w(|z|) on a square
-    grid of ``points`` per side over [-radius, radius]^2 (by default sized so
-    the boundary integrand is below 1e-18 of its peak), trapezoid in x and y.
+    grid of ``_GRID_POINTS`` per side over [-radius, radius]^2 (by default
+    sized so the boundary integrand is below 1e-18 of its peak), trapezoid
+    in x and y.
     """
     # imported here, not at module level: the package import leaves
     # scipy.special (0.04 s, 2.5 MB) to the functions that call it
@@ -356,7 +357,7 @@ def stft_grid_norm_sq(
     _require_modulation(space)
     m = f.coeffs.size - 1
     R = radius if radius is not None else _auto_radius(m, space)
-    u = np.linspace(-R, R, points)
+    u = np.linspace(-R, R, _GRID_POINTS)
     X, Y = np.meshgrid(u, u, indexing="ij")
     Z = X - 1j * Y  # conjugate argument of the analytic factor
     mono = f.coeffs * np.exp(

@@ -3,12 +3,14 @@
 Both evaluation routes return the squared worst-case error of the rule
 sum omega(x) f(x) against integral f W over the unit ball of the selected
 space, for any nodes and weights that are 1-D, of equal length and finite
-(others raise ``ValueError``):
+(others raise ``ValueError``); a squared error beyond float64 raises
+``FreudQuadError``:
 
 * ``wce_me2``    closed-form kernel route for geometric decay (alpha=2);
 * ``wce_series`` coefficient route sum_k lambda_k^{-1} e_k^2 over the
   per-mode quadrature errors e_k, the same quantity written mode by mode
-  and manifestly nonnegative.
+  and manifestly nonnegative, cut where ``kernels.series_truncation``
+  bounds its tail.
 
 The kernel route subtracts nearly equal quantities (about 15 of 40
 digits cancel at n = 41, t = 5/4, and up to 35 at t = 5), so it is evaluated in
@@ -39,9 +41,9 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .errors import CapacityError, FreudQuadError, UnboundedTailError
+from .errors import CapacityError, FreudQuadError
 from .gaussquad import _node_set
-from .kernels import tail_index
+from .kernels import series_truncation  # the benchmark replay imports it from here
 from .orthopoly import FreudBasis, _sweep
 from .spaces import SpaceWeight, lambda_of
 
@@ -49,7 +51,6 @@ __all__ = [
     "WCETable",
     "wce_me2",
     "wce_series",
-    "series_truncation",
     "wce_bound",
     "tensor_wce",
     "slope_fit",
@@ -57,6 +58,7 @@ __all__ = [
 
 _ME2_DPS = 40  # first pass; see wce_me2 for the recompute rule
 _ME2_DIGITS_LEFT = 24
+_BEYOND_FLOAT64 = "the squared worst-case error is beyond float64"
 
 _AXIS_MAPS = {
     "n": lambda n: np.asarray(n, dtype=float),
@@ -98,7 +100,7 @@ def wce_me2(nodes, omega, t: float) -> float:
     lost, log10 of the summed magnitudes of the three parts over |value|
     (or the working digits when the value is not positive), fewer than 24
     digits left means a new pass at max(ceil(L) + 30, 2 dps) digits, until
-    24 are left.
+    24 are left.  A value beyond float64 raises ``FreudQuadError``.
     """
     if not 1 < t < math.inf:
         raise ValueError(f"kernel parameter must be finite and exceed 1, got t={t}")
@@ -122,8 +124,12 @@ def wce_me2(nodes, omega, t: float) -> float:
             val = mp.fsum(parts)
             lost = dps if val <= 0 else mp.log10(mp.fsum(parts, absolute=True) / val)
             if dps - lost >= _ME2_DIGITS_LEFT:
-                return float(val)
+                value = float(val)
+                break
             dps = max(int(mp.ceil(lost)) + 30, 2 * dps)
+    if value == math.inf:
+        raise FreudQuadError(_BEYOND_FLOAT64)
+    return value
 
 
 def _me2_parts(xs, ws, w0, mirrored: bool, t):
@@ -172,11 +178,11 @@ def wce_series(
     Accumulates lambda_k^{-1} e_k^2 with e_k the quadrature error of the
     k-th mode: sum_x omega(x) h_k(x) minus the mode's integral against W
     (nonzero only at k = 0, where it equals 1/c0).  k runs from ``start``
-    up to a truncation index: ``k_max`` when given, otherwise the
-    envelope tail bound at ``tol`` relative to the first retained
-    envelope term.  For a rule exact on the first 2n modes, starting at
-    0 or at 2n gives the same value; the sum-of-squares form is
-    nonnegative by construction.  One basis sweep over the nodes yields
+    up to a truncation index: ``k_max`` when given, otherwise
+    ``series_truncation`` at ``tol``, the envelope tail bound relative to
+    the first retained envelope term.  For a rule exact on the first 2n
+    modes, starting at 0 or at 2n gives the same value; the sum-of-squares
+    form is nonnegative by construction.  One basis sweep over the nodes yields
     every h_k up to the truncation index, and each e_k is one dot
     product with omega; the dots of a block of modes run in one
     ``np.vecdot``, which calls the same BLAS ddot per mode in C.
@@ -206,8 +212,9 @@ def _wce_series_rows(
     the block is freed, so the memory held is bounded by the sweep's block.
     Returns one entry per row: the value, or the ``ValueError`` or
     ``FreudQuadError`` that row raised (a negative start, nodes and weights
-    that are not 1-D, of equal length and finite, truncation, capacity, or
-    the shared lambda_k evaluation), which fails that row alone.
+    that are not 1-D, of equal length and finite, truncation, capacity, a
+    sum beyond float64, or the shared lambda_k evaluation), which fails
+    that row alone.
     """
     results: list = [None] * len(rows)
     truncation = {}  # start -> K, one series_truncation per distinct start
@@ -252,20 +259,26 @@ def _wce_series_rows(
     sums = _ExactSums(len(live))
     for k0, H in _sweep(basis, np.concatenate(xs), k_hi):
         block = []  # this block's (row, terms)
-        for row, (_, omega, start, K, off) in enumerate(live):
-            lo, hi = max(start - k0, 0), min(K + 1 - k0, len(H))
-            if lo >= hi:
-                continue
-            e = np.vecdot(H[lo:hi, off:off + omega.size], omega)
-            if k0 == start == 0:
-                e[0] -= 1.0 / basis.c0  # integral of h_0 W; zero for k >= 1
-            e *= e
-            e /= lam[k0 + lo - k_lo:k0 + hi - k_lo]
-            block.append((row, e))
+        # a term beyond float64 makes its row's sum inf or NaN, failed below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, (_, omega, start, K, off) in enumerate(live):
+                lo, hi = max(start - k0, 0), min(K + 1 - k0, len(H))
+                if lo >= hi:
+                    continue
+                e = np.vecdot(H[lo:hi, off:off + omega.size], omega)
+                if k0 == start == 0:
+                    e[0] -= 1.0 / basis.c0  # integral of h_0 W; zero for k >= 1
+                e *= e
+                e /= lam[k0 + lo - k_lo:k0 + hi - k_lo]
+                block.append((row, e))
         del H  # the sweep keeps no reference, so the block is freed before the fold
         sums.fold(block)
     for row, (slot, *_) in enumerate(live):
-        results[slot] = sums.rounded(row)
+        try:
+            value = sums.rounded(row)
+        except OverflowError:  # a sum of finite terms beyond float64, as in math.fsum
+            value = math.inf
+        results[slot] = value if math.isfinite(value) else FreudQuadError(_BEYOND_FLOAT64)
     return results
 
 
@@ -353,45 +366,6 @@ class _ExactSums:
         return n / (1 << _UNIT_SHIFT)
 
 
-def series_truncation(
-    space: SpaceWeight, start: int, tol: float, alpha: float,
-    sup_const: float | None = None,
-) -> int:
-    """Truncation index used by ``wce_series``: the envelope tail must be
-    below ``tol`` relative to the first retained envelope term.
-
-    The envelope sup_x |h_k|^2 <= C k^(1/3 - 1/alpha) has an unknown
-    constant C, and C multiplies both the tail and the first retained term,
-    so it cancels: the index depends on the space, ``start``, ``tol`` and
-    alpha alone.  ``sup_const`` is accepted for older callers and has no
-    effect.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
-    if tol >= 1:  # the index would fall below start, so every rule reads as exact
-        raise ValueError("tol must be below 1")
-    lam_start = float(lambda_of(space, start))
-    if math.isinf(lam_start):
-        raise FreudQuadError(
-            f"lambda_start (k = {start}) of the {space.kind} weight overflows to "
-            "inf, so the series tail bound cannot be formed"
-        )
-    target = tol * (max(start, 1) ** (1.0 / 3.0 - 1.0 / alpha) / lam_start)
-    if target == 0.0:
-        raise FreudQuadError(
-            f"tol = {tol:.1e} times the first retained envelope term (k = {start}, "
-            f"lambda_start = {lam_start:.3e}) underflows to 0, so the series "
-            "tail bound cannot be formed"
-        )
-    try:
-        return tail_index(space, start, target, alpha, 1.0)
-    except UnboundedTailError as exc:
-        raise UnboundedTailError(
-            f"the series tail from k = {start} cannot be bounded below tol = {tol:.1e} "
-            f"relative to its first retained envelope term: {exc}"
-        ) from exc
-
-
 def wce_bound(phi: float, a_n: float) -> float:
     """Abstract sampling bound phi / a_n for the squared worst-case error."""
     # written so that NaN fails the comparison
@@ -416,7 +390,8 @@ def tensor_wce(wce1_sq: float, c: float, lambda0: float, d: int) -> float:
     it is factored as (base + w)^d (-expm1(-d log1p(w/base))) instead, so
     neither stands in for a finite value; the rounding error of base + w is
     carried into that power.  A value beyond float64, or a positive one
-    that rounds to 0, raises ``ValueError``.
+    that rounds to 0, raises ``FreudQuadError``; invalid inputs raise
+    ``ValueError``.
     """
     # written so that NaN fails the comparisons
     if not 1 <= d < math.inf:
@@ -448,7 +423,7 @@ def tensor_wce(wce1_sq: float, c: float, lambda0: float, d: int) -> float:
         except OverflowError:
             value = math.inf
     if value in (0.0, math.inf):
-        raise ValueError(
+        raise FreudQuadError(
             f"the d={d} squared worst-case error "
             f"{'underflows' if value == 0.0 else 'overflows'} float64 "
             f"(c^2/lambda_0 = {base}, per-coordinate {wce1_sq})"

@@ -25,9 +25,8 @@ from freudquad import (
     phi_lambda,
     radial_moment,
     run_figure,
+    series_truncation,
     stft_grid_norm_sq,
-    sup_envelope_constant,
-    tail_index,
     tensor_wce,
     wce_bound,
     wce_series,
@@ -88,7 +87,7 @@ def test_03_mehler_identity(basis2_deep):
     meaningless for any implementation; and the slow-decay parameter
     t = 50/49 needs ~1400 expansion terms for a 1e-10 comparison (at 300
     terms the truncation residue is ~1e-3), so its depth comes from the
-    package's own tail-index machinery while t = 5/4 keeps the literal
+    package's own series truncation while t = 5/4 keeps the literal
     300-term depth.
     """
     with Timer() as t:
@@ -97,7 +96,7 @@ def test_03_mehler_identity(basis2_deep):
         for tv, K in ((1.25, 300), (50.0 / 49.0, None)):
             space = SpaceWeight.geometric(tv)
             if K is None:
-                K = tail_index(space, 0, 1e-11, 2.0, sup_envelope_constant(basis2_deep))
+                K = series_truncation(space, 0, 1e-11, 2.0)
             H = basis_matrix(basis2_deep, grid, K)
             lam = tv ** -(np.arange(K + 1) + 1.0)
             err = 0.0

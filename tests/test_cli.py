@@ -74,6 +74,15 @@ class TestCoeffs:
         payload = json.loads(out)
         assert payload["c0"] == pytest.approx(2.0 ** 0.25, rel=1e-14)
 
+    def test_out_file_gets_the_table_and_stdout_gets_c0(self, capsys, tmp_path):
+        out = tmp_path / "a.csv"
+        code, stdout, _ = run_cli(capsys, "coeffs", "--alpha", "2", "--n", "3",
+                                  "--out", str(out))
+        assert code == 0
+        assert stdout == "c0 = 1.189207115002721\n"
+        assert out.read_text().splitlines()[0] == "k,a_k"
+        assert len(out.read_text().splitlines()) == 4
+
     def test_alpha_1_5_builds(self, capsys):
         # |x|^1.5 has a kink at 0: converges only on the graded grid
         code, out, _ = run_cli(capsys, "coeffs", "--alpha", "1.5", "--n", "20")
@@ -97,6 +106,12 @@ class TestFigure:
         }
         assert payload["axis"] == "n"
         assert payload["slope"] < -0.2
+
+    def test_sign_mode_is_recorded(self, capsys):
+        code, out, _ = run_cli(capsys, "figure", "fig3a", "--n-range", "3:5:2",
+                               "--sign-mode", "alternating", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["params"]["sign_mode"] == "alternating"
 
     def test_full_fig1a_slope(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "figure", "fig1a", "--out", str(tmp_path))
@@ -406,12 +421,15 @@ class TestWce:
 
     def test_dimension_that_overflows_exits_one(self, capsys):
         # at s = 1/2 the n = 3 row has w = 1.79, so (c^2/lambda_0 + w)^4000
-        # is beyond float64: a traceback before
+        # is beyond float64: a traceback before, then exit 1 as invalid
+        # input; it is a numerical failure (exit 2)
         code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "0.5",
                                  "--dim", "4000", "--n-range", "3:5:2")
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert err.startswith("error: the d=4000 squared worst-case error overflows")
+        assert err.startswith(
+            "numerical failure: the d=4000 squared worst-case error overflows"
+        )
         assert err.count("\n") == 1
 
     def test_dimension_where_the_base_power_underflows(self, capsys):
@@ -434,12 +452,14 @@ class TestWce:
             ref = float((mp.mpf(base) + mp.mpf(w)) ** 4000 - mp.mpf(base) ** 4000)
         assert value == pytest.approx(ref, rel=4 * 2.0**-52, abs=0)
         # n = 5's value is 5.6e-354, below the float range: it read 0, as an
-        # exact rule, and dropped out of the fit
+        # exact rule, and dropped out of the fit; a numerical failure (exit 2)
         code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "1",
                                  "--dim", "4000", "--n-range", "3:5:2")
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert err.startswith("error: the d=4000 squared worst-case error underflows")
+        assert err.startswith(
+            "numerical failure: the d=4000 squared worst-case error underflows"
+        )
         assert err.count("\n") == 1
 
 
@@ -492,6 +512,12 @@ class TestValidation:
         code, _, err = run_cli(capsys, "nodes", "--alpha", "0.5", "--n", "3")
         assert code == 1
         assert "error" in err.lower()
+        # the table's truncation divided by alpha: a ZeroDivisionError traceback
+        code, out, err = run_cli(capsys, "wce", "--alpha", "0", "--space", "mse",
+                                 "--n-range", "3:5:2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: weight exponent must be finite and > 1, got alpha=0.0\n"
 
     @pytest.mark.parametrize("command", [
         "wce --space hs --s nan",
@@ -590,3 +616,11 @@ class TestValidation:
         assert code == 1
         assert out == ""
         assert err == "error: bad n-range ''\n"
+
+    @pytest.mark.parametrize("n_range", ["1:2:3:4", "5:3"])
+    def test_malformed_n_range_exits_one(self, capsys, n_range):
+        code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "3",
+                                 "--n-range", n_range)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: bad n-range {n_range!r}\n"

@@ -37,6 +37,11 @@ class TestFigureSpec:
         with pytest.raises(ValueError, match="n_values must hold at least one n"):
             run_figure(fid, n_values=())
 
+    def test_alpha_of_zero_is_rejected(self):
+        # the planner's truncation divided by alpha first: a ZeroDivisionError
+        with pytest.raises(ValueError, match="weight exponent must be finite and > 1"):
+            run_figure("fig2a", alpha=0.0)
+
     def test_overrides_take_effect(self):
         spec = figure_spec("fig3a", eps=0.2, seed=13)
         assert spec.eps == 0.2

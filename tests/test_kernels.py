@@ -16,8 +16,8 @@ from freudquad import (
     lambda_of,
     mehler,
     mrs_number,
+    series_truncation,
     sup_envelope_constant,
-    tail_index,
 )
 from freudquad.kernels import _TAIL_HARD_CAP, _exp_tail_bound, _upper_gamma
 from freudquad.orthopoly import _grid_radius_scale, _sweep
@@ -75,76 +75,62 @@ class TestMehler:
 
 
 class TestTailIndex:
-    def test_geometric_scan_oracle(self, basis2):
+    def test_geometric_scan_oracle(self):
+        # from start 0 the first retained envelope term is 1 / lambda_0
         space = SpaceWeight.geometric(1.25)
-        sup = sup_envelope_constant(basis2)
         tol = 1e-16
-        K = tail_index(space, 0, tol, 2.0, sup)
+        K = series_truncation(space, 0, tol, 2.0)
+        target = tol / lambda_of(space, 0)
         k = np.arange(1, K + 60_000, dtype=float)
-        terms = sup * k ** (-1.0 / 6.0) / lambda_of(space, k.astype(int))
+        terms = k ** (-1.0 / 6.0) / lambda_of(space, k.astype(int))
         suffix = np.cumsum(terms[::-1])[::-1]
-        # sound: true envelope tail past K is below tol
-        assert suffix[K] < tol
+        # sound: true envelope tail past K is below the target
+        assert suffix[K] < target
         # not wildly conservative: the direct-scan minimal K is comparable
-        k_true = int(np.searchsorted(-suffix, -tol))
+        k_true = int(np.searchsorted(-suffix, -target))
         assert K <= 2 * k_true + 10
 
     def test_boundary_exponent_unbounded(self):
         # s = 1 - 1/alpha sits below the summability threshold
-        with pytest.raises(UnboundedTailError):
-            tail_index(SpaceWeight.polynomial(0.5), 0, 1e-10, 2.0, 4.0)
+        with pytest.raises(UnboundedTailError, match="decays too slowly"):
+            series_truncation(SpaceWeight.polynomial(0.5), 0, 1e-10, 2.0)
 
     def test_no_decay_unbounded(self):
-        with pytest.raises(UnboundedTailError):
-            tail_index(SpaceWeight.polynomial(0.0), 0, 1e-10, 2.0, 4.0)
+        with pytest.raises(UnboundedTailError, match="no growth"):
+            series_truncation(SpaceWeight.polynomial(0.0), 0, 1e-10, 2.0)
 
     def test_poly_finite(self):
-        K = tail_index(SpaceWeight.polynomial(3.0), 0, 1e-12, 2.0, 4.0)
+        K = series_truncation(SpaceWeight.polynomial(3.0), 0, 1e-12, 2.0)
         assert 0 < K < 50_000_000
 
     @pytest.mark.parametrize(
-        "space, tol, alpha, sup_const, K",
+        "space, tol, alpha, K10, K100",
         [
-            # measured when tail_index still switched on the kind
-            (SpaceWeight.polynomial(3.0), 1e-8, 2.0, 1.0, 3447),
-            (SpaceWeight.polynomial(2.5), 1e-8, 4.0, 4.43, 992126),
-            (SpaceWeight.mod_poly(3.0), 1e-8, 2.0, 1.0, 43904),
-            (SpaceWeight.mod_poly(2.5), 1e-8, 4.0, 4.43, 25416710),
-            (SpaceWeight.exponential(1.0, 1.0), 1e-30, 2.0, 1.0, 69),
-            (SpaceWeight.exponential(0.5, 2.0), 1e-30, 4.0, 4.43, 1400),
-            (SpaceWeight.mod_exp(1.0), 1e-16, 2.0, 1.0, 5276),
-            (SpaceWeight.mod_exp(0.5), 1e-30, 4.0, 4.43, 78656),
-            (SpaceWeight.geometric(1.25), 1e-16, 2.0, 1.0, 167),
-            (SpaceWeight.mod_exp2(0.6), 1e-30, 4.0, 4.43, 342),
+            # measured through wce.series_truncation before it moved to kernels
+            (SpaceWeight.polynomial(3.0), 1e-6, 2.0, 13587, 349390),
+            (SpaceWeight.polynomial(2.5), 1e-4, 4.0, 31310, 1368179),
+            (SpaceWeight.mod_poly(3.0), 1e-6, 2.0, 54067, 964048),
+            (SpaceWeight.mod_poly(2.5), 1e-4, 4.0, 177873, 4967849),
+            (SpaceWeight.exponential(1.0, 1.0), 1e-30, 2.0, 79, 169),
+            (SpaceWeight.exponential(0.5, 2.0), 1e-30, 4.0, 1581, 2171),
+            (SpaceWeight.mod_exp(1.0), 1e-16, 2.0, 5859, 7084),
+            (SpaceWeight.mod_exp(0.5), 1e-30, 4.0, 77073, 80582),
+            (SpaceWeight.geometric(1.25), 1e-16, 2.0, 180, 272),
+            (SpaceWeight.mod_exp2(0.6), 1e-30, 4.0, 345, 434),
         ],
     )
-    def test_pinned_indices(self, space, tol, alpha, sup_const, K):
-        assert tail_index(space, 10, tol, alpha, sup_const) == K
-        assert tail_index(space, 100, tol, alpha, sup_const) == max(K, 99)
+    def test_pinned_indices(self, space, tol, alpha, K10, K100):
+        assert series_truncation(space, 10, tol, alpha) == K10
+        assert series_truncation(space, 100, tol, alpha) == K100
 
-    def test_overflowing_polynomial_index_is_unbounded(self):
-        # (1/tol)^(1/(beta - 1)) is beyond the float range at tol = 1e-310
-        with pytest.raises(UnboundedTailError, match="K ~ inf"):
-            tail_index(SpaceWeight.polynomial(3.0), 10, 1e-310, 2.0, 1.0)
+    def test_the_wce_name_takes_five_arguments(self):
+        # perfbench/replay.py imports it from wce and passes a fifth,
+        # ignored, argument
+        from freudquad.wce import series_truncation as from_wce
 
-    def test_overflowing_exponential_bound_is_unbounded(self):
-        # q^(-(g+1)/p) is beyond the float range for q = 1e-30, p = 0.05
-        with pytest.raises(UnboundedTailError, match="more than the cap"):
-            tail_index(SpaceWeight.exponential(0.05, 1e-30), 10, 1e-16, 2.0, 1.0)
-
-    @pytest.mark.parametrize(
-        "space", [SpaceWeight.mod_exp(1.0), SpaceWeight.polynomial(3.0)]
-    )
-    def test_nan_tol_is_rejected(self, space):
-        # a NaN tol once read as "the whole tail is below tol" (start - 1)
-        with pytest.raises(ValueError, match="tol must be > 0"):
-            tail_index(space, 10, math.nan, 2.0, 1.0)
-
-    def test_whole_tail_negligible_returns_start_minus_one(self, basis2):
-        space = SpaceWeight.geometric(1.25)
-        sup = sup_envelope_constant(basis2)
-        K = tail_index(space, 4000, 1e-6, 2.0, sup)
-        assert K == 3999
+        space = SpaceWeight.mod_exp(1.0)
+        assert from_wce is series_truncation
+        assert from_wce(space, 10, 1e-16, 2.0, 4.43) == 5859
 
 
 class TestUpperGamma:
@@ -190,12 +176,13 @@ class TestUpperGamma:
                             bound = _exp_tail_bound(K, p, q, g, 1.0)
                             assert bound >= 0.0, (p, q, alpha, K)
 
-    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0, math.inf])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 1.0, math.inf])
     def test_alpha_outside_the_domain_is_rejected(self, alpha):
         # at alpha = 0.5 the envelope exponent is -5/3, so c < 0: scipy's bound
-        # was NaN there, read as "the whole tail is below tol" (K = start - 1)
+        # was NaN there, read as "the whole tail is below tol" (K = start - 1);
+        # alpha = 0 divided by zero before alpha was checked
         with pytest.raises(ValueError, match="weight exponent must be finite and > 1"):
-            tail_index(SpaceWeight.mod_exp(1.0), 6, 1e-16, alpha, 1.0)
+            series_truncation(SpaceWeight.mod_exp(1.0), 6, 1e-16, alpha)
 
     @pytest.mark.parametrize("q", [300.0, 100.0])
     def test_tiny_p_bound_is_finite(self, q):

@@ -76,6 +76,8 @@ class TestBuildSystem:
             build_system(basis2, 2, np.array([0.1, 0.2]), np.array([1.0]))
         with pytest.raises(ValueError):
             build_system(basis2, 2, np.array([0.1, 0.2]), np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="need at least one node"):
+            build_system(basis2, 3, [], [])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_nodes_or_tau(self, basis2, bad):

@@ -90,6 +90,8 @@ class TestSpaceWeight:
             SpaceWeight.mod_exp2(PI)
         with pytest.raises(ValueError):
             SpaceWeight("bogus", s=1.0)
+        with pytest.raises(ValueError, match="coefficient index must be >= 0"):
+            lambda_of(SpaceWeight.polynomial(2.0), -1)
 
     def test_has_decay(self):
         # the growth rate of the law is 0 exactly when lambda_k stays bounded

@@ -104,6 +104,11 @@ class TestWceMe2:
             with pytest.raises(ValueError, match="nodes and omega must be finite"):
                 wce_me2(np.array(nodes), np.array(omega), 1.25)
 
+    def test_value_beyond_float64_is_a_numerical_failure(self):
+        # the squared error is about 1e400: it returned inf
+        with pytest.raises(FreudQuadError, match="beyond float64"):
+            wce_me2([0.0], [1e200], 1.25)
+
     def test_cross_path_small(self, basis2, basis2_deep):
         rule = gauss_rule(basis2, 3)
         v_kernel = wce_me2(rule.nodes, rule.omega, 1.25)
@@ -368,6 +373,27 @@ class TestWceSeriesRows:
             wce_series(*bad_rows[0][:2], basis2, SpaceWeight.polynomial(2.0), start,
                        k_max=400)
 
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            1.1e154,  # finite terms whose sum overflows: a bare OverflowError
+            1.15e154,  # e^2 overflows: inf after a RuntimeWarning
+        ],
+    )
+    def test_sum_beyond_float64_fails_alone(self, basis2, weight):
+        space = SpaceWeight.geometric(1.25)
+        rows = self.rows(basis2)
+        good = _wce_series_rows(rows, basis2, space, 1e-16, 60)
+        values = _wce_series_rows(
+            rows[:1] + [(np.array([0.0]), np.array([weight]), 0)] + rows[1:],
+            basis2, space, 1e-16, 60,
+        )
+        assert type(values[1]) is FreudQuadError
+        assert str(values[1]) == "the squared worst-case error is beyond float64"
+        assert values[:1] + values[2:] == good
+        with pytest.raises(FreudQuadError, match="beyond float64"):
+            wce_series([0.0], [weight], basis2, space, 0, k_max=60)
+
     def test_mismatched_row_fails_alone(self, basis2):
         rows = self.rows(basis2)
         rows.insert(1, (rows[0][0], rows[0][1][:-1], 6))
@@ -404,7 +430,8 @@ class TestStreamedSeriesRows:
 
     def test_each_row_is_the_fsum_of_its_terms(self, deep, monkeypatch):
         # folds of one sweep block each end inside the rows; e^2 overflows
-        # to +inf on the 1e200 row, and the NaN row is rejected alone
+        # to +inf on the 1e200 row, which fails alone with a typed error and
+        # lets out no RuntimeWarning, and the NaN row is rejected alone
         folds = []
         fold = _ExactSums.fold
 
@@ -418,14 +445,14 @@ class TestStreamedSeriesRows:
             (np.array([0.3]), np.array([1e200]), 0),
             (np.array([0.3]), np.array([math.nan]), 5),
         ]
-        with np.errstate(over="ignore"):
-            got = _wce_series_rows(rows, deep, space, 1e-16, self.K)
+        got = _wce_series_rows(rows, deep, space, 1e-16, self.K)
         assert len([f for f in folds if f]) > 4
         lam = np.asarray(lambda_of(space, np.arange(self.K + 1)), dtype=float)
         for value, (nodes, omega, start) in zip(got[:-2], rows):
             e = np.vecdot(basis_matrix(deep, nodes, self.K)[start:], omega)
             assert value == math.fsum(e * e / lam[start:])
-        assert got[-2] == math.inf
+        assert type(got[-2]) is FreudQuadError
+        assert str(got[-2]) == "the squared worst-case error is beyond float64"
         assert str(got[-1]) == "nodes and omega must be finite"
 
     def test_one_fold_per_sweep_block(self, deep, monkeypatch):
@@ -717,13 +744,14 @@ class TestTensorWce:
         ],
     )
     def test_overflow_is_a_value_error(self, wce1_sq, c, lambda0, d):
-        with pytest.raises(ValueError, match="overflows float64"):
+        # a numerical failure, not a bad input (a ValueError once)
+        with pytest.raises(FreudQuadError, match="overflows float64"):
             tensor_wce(wce1_sq, c, lambda0, d)
 
     def test_underflow_is_a_value_error(self):
         # (base + w)^d - base^d is 5.6e-354 at base = 2^-1/2, w = 0.109,
-        # d = 4000: a 0 would read as an exact rule
-        with pytest.raises(ValueError, match="underflows float64"):
+        # d = 4000: a 0 would read as an exact rule (a ValueError once)
+        with pytest.raises(FreudQuadError, match="underflows float64"):
             tensor_wce(0.10888630566879427, 2.0**-0.25, 1.0, 4000)
 
 
