@@ -166,7 +166,9 @@ def _shifted_rule(
     """The (n+1)-node Gauss rule with its nodes shifted by ``eps``, the
     system of order n on them and its generalized weights: returns
     ``(nodes, omega, report)`` with the report's a_n, b_n, min omega and
-    support check at scale ``L``."""
+    support check at scale ``L``; a negative n raises ``ValueError``."""
+    if n < 0:  # else the (n+1)-node rule's count would be blamed
+        raise ValueError(f"system order must be >= 0, got n={n}")
     rule = _gauss_rule(basis, n + 1)
     nodes, tau = perturb_nodes(
         rule, eps, sign_mode=sign_mode, seed=seed, allow_reorder=allow_reorder

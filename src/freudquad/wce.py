@@ -15,11 +15,14 @@ space, for any nodes and weights that are 1-D, of equal length and finite
 The kernel route subtracts nearly equal quantities (about 15 of 40
 digits cancel at n = 41, t = 5/4, and up to 35 at t = 5), so it is evaluated in
 mpmath at 40 digits and again at more wherever fewer than 24 are left.
-The Mehler kernel factors into one Gaussian per node and one
-exponential e^{beta x y} per node pair: about m^2/2 ``mp.exp`` calls for m
-nodes, and about m^2/8 on a rule whose nodes and weights are mirrored
+It is the one use of mpmath here, so ``wce_me2`` imports it, and the series
+route never loads it.  The Mehler kernel factors into one Gaussian per node
+and one exponential e^{beta x y} per node pair: about m^2/2 exponentials
+for m nodes, and about m^2/8 on a rule whose nodes and weights are mirrored
 about 0 (every Gauss rule), where the four sign pairs of two nodes share
-one exponential.
+one exponential.  The per-node Gaussians are ``mp.exp`` calls; the pair
+exponentials are ``mpmath.libmp.mpf_exp`` calls on mpmath's integer layer
+(see ``_me2_parts``).
 
 The series route adds its terms exactly and rounds the sum once
 (``_ExactSums``): each term's integer mantissa is cut into limbs, the limbs
@@ -38,7 +41,6 @@ import operator
 import warnings
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import CapacityError, FreudQuadError
@@ -84,9 +86,11 @@ def wce_me2(nodes, omega, t: float) -> float:
     The Mehler kernel factors as K_t(x,y) = pref g(x) g(y) e^{beta x y},
     with c = pi/(t^2-1), beta = 4tc and g(x) = e^{-c(t^2+1) x^2}, so each
     node is weighted once, u = omega g(x), and a pair (i, j) costs one
-    exponential e^{beta x_i x_j}: m + m(m+1)/2 + m ``mp.exp`` calls for
-    the weights, the pairs i <= j and the cross sum.  When the input is
-    mirrored bit for bit (nodes == -nodes[::-1] and omega == omega[::-1],
+    exponential e^{beta x_i x_j}: m + m(m+1)/2 + m exponentials for the
+    weights, the pairs i <= j and the cross sum.  The weights' and the
+    cross sum's are ``mp.exp`` calls, the pairs' are ``mpf_exp`` calls on
+    mpmath's integer layer (``_me2_parts``).  When the input is mirrored
+    bit for bit (nodes == -nodes[::-1] and omega == omega[::-1],
     as ``gauss_rule`` makes every rule) the sums run over one node of each
     of the h = m // 2 mirrored pairs: the four sign pairs (+-x_a, +-x_b)
     share u_a u_b (e + 1/e) with e = e^{beta x_a x_b}, and a node at 0
@@ -111,6 +115,10 @@ def wce_me2(nodes, omega, t: float) -> float:
             stacklevel=2,
         )
         return float(1.0 / (math.sqrt(2.0) * t))
+    # imported here, not at module level: mpmath costs about 4 MB and 0.02 s
+    # at import, and the series route never needs it
+    import mpmath as mp
+
     m = nodes.size
     mirrored = np.array_equal(nodes, -nodes[::-1]) and np.array_equal(omega, omega[::-1])
     # a mirrored rule keeps one node of each mirrored pair; its middle node is 0
@@ -138,27 +146,43 @@ def _me2_parts(xs, ws, w0, mirrored: bool, t):
     ``xs`` and ``ws`` are every node and weight, or on a mirrored rule one
     node of each mirrored pair, with ``w0`` the weight of the node at 0
     (0 if there is none).
+
+    The O(m^2) pair loop runs on mpmath's integer layer: ``mpf_mul``,
+    ``mpf_exp``, ``mpf_rdiv_int``, ``mpf_add``, ``mpf_mul_int`` and
+    ``mpf_sum`` of ``mpmath.libmp`` on the raw ``_mpf_`` tuples, at the
+    context's precision and rounding.  Those are the calls that the mpf
+    operators and ``mp.fsum`` make for the same expressions, so every
+    intermediate keeps its bits; the loop only skips building an mpf
+    object around each one.
     """
+    import mpmath as mp
+    from mpmath.libmp import (
+        mpf_add, mpf_exp, mpf_mul, mpf_mul_int, mpf_rdiv_int, mpf_sum,
+    )
+
     c = mp.pi / (t * t - 1)
     beta, gamma = 4 * t * c, (t * t + 1) * c
     xs = [mp.mpf(x) for x in xs]
     cross = mp.fsum(w * mp.exp(-mp.pi * x * x) for w, x in zip(ws, xs))
     # u = omega g(x); a node of zero weight adds nothing and is dropped
     us = [w * mp.exp(-gamma * x * x) for w, x in zip(ws, xs)]
-    xu = [(x, u) for x, u in zip(xs, us) if u]
+    xu = [(x._mpf_, u._mpf_) for x, u in zip(xs, us) if u]
+    prec, rnd = mp.mp._prec_rounding  # what the mpf operators round to
+    b = beta._mpf_
     rows = []  # row i: u_i (u_i k_ii + 2 sum_{j > i} u_j k_ij)
     for i, (xi, ui) in enumerate(xu):
-        bxi, row = beta * xi, []
+        bxi, row = mpf_mul(b, xi, prec, rnd), []
         for xj, uj in xu[i:]:
-            e = mp.exp(bxi * xj)
-            if mirrored:
-                e += 1 / e  # k = e^{beta x_i x_j} + e^{-beta x_i x_j}
-            row.append(uj * e)
-        rows.append(ui * (row[0] + 2 * mp.fsum(row[1:])))
-    double_sum = mp.fsum(rows)
+            e = mpf_exp(mpf_mul(bxi, xj, prec, rnd), prec, rnd)
+            if mirrored:  # k = e^{beta x_i x_j} + e^{-beta x_i x_j}
+                e = mpf_add(e, mpf_rdiv_int(1, e, prec, rnd), prec, rnd)
+            row.append(mpf_mul(uj, e, prec, rnd))
+        twice = mpf_mul_int(mpf_sum(row[1:], prec, rnd), 2, prec, rnd)
+        rows.append(mpf_mul(ui, mpf_add(row[0], twice, prec, rnd), prec, rnd))
+    double_sum = mp.mp.make_mpf(mpf_sum(rows, prec, rnd))
     if mirrored:
         # each pair of the half stands for its four sign pairs
-        double_sum = 2 * double_sum + w0 * (w0 + 4 * mp.fsum(u for _, u in xu))
+        double_sum = 2 * double_sum + w0 * (w0 + 4 * mp.fsum(u for u in us if u))
         cross = 2 * cross + w0
     pref = mp.sqrt(2 / (t * t - 1))
     return [1 / (mp.sqrt(2) * t), pref * double_sum, -2 * cross / t]

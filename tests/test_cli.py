@@ -481,6 +481,14 @@ class TestPerturb:
         assert code == 0
         assert out == GOLDEN_PERTURB[command]
 
+    @pytest.mark.parametrize("n", ["-1", "-5"])
+    def test_negative_order_names_the_given_n(self, capsys, n):
+        # it said "node count must be >= 1, got n=0": the derived rule's size
+        code, out, err = run_cli(capsys, "perturb", "--n", n, "--eps", "0.1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: system order must be >= 0, got n={n}\n"
+
     def test_gap_violation_is_numerical_failure(self, capsys):
         code, _, err = run_cli(
             capsys, "perturb", "--n", "20", "--eps", "0.5", "--sign-mode", "random"

@@ -212,6 +212,13 @@ class TestRunFigure:
         monkeypatch.undo()
         assert table.wce == run_figure("fig2a", n_values=(3, 5)).wce
 
+    def test_negative_shifted_row_fails_alone_naming_n(self):
+        table = run_figure("fig3a", n_values=(-1, 3))
+        assert table.ns == (3,)
+        assert table.params["failures"] == {
+            "-1": "ValueError: system order must be >= 0, got n=-1"
+        }
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # gauss_rule's NaN weights
     @pytest.mark.parametrize("fid, n", [("fig3a", 800), ("fig1a", 801)])
     def test_row_with_non_finite_weights_fails_alone(self, fid, n):

@@ -125,6 +125,20 @@ class TestOrthonormalityAlpha2:
         assert np.abs(gram - np.eye(31)).max() < 1e-8
 
 
+class TestCramerBound:
+    def test_squared_values_stay_below_sqrt2_to_k_3000(self):
+        # h_k(x) = (2 pi)^(1/4) psi_k(sqrt(2 pi) x) with psi_k the Hermite
+        # functions, so Cramer's inequality |psi_k| <= pi^(-1/4) gives
+        # h_k(x)^2 <= sqrt(2) for every k and x; h_k(-x)^2 = h_k(x)^2.  The
+        # grid passes MRS(3000) and takes in |x| > 15.3, where h_0 is subnormal
+        basis = build_basis(2.0, 3000)
+        x = np.linspace(0.0, 40.0, 40_001)
+        assert mrs_number(2.0, 3000) < x[-1]
+        top = max(float(np.max(H * H)) for _, H in _sweep(basis, x, 3000))
+        assert top <= math.sqrt(2.0)
+        assert top == basis.c0 ** 2  # h_0(0)^2, one ulp below sqrt(2)
+
+
 class TestBuildBasisGeneralAlpha:
     def test_orthonormality_against_trapezoid_oracle(self, basis4, trapezoid_oracle):
         H_at = lambda xs: basis_matrix(basis4, xs, 30)
@@ -747,3 +761,36 @@ def test_closed_form_route_leaves_scipy_special_unloaded():
     ).stdout.split()
     assert out[:2] == ["False", "False"]
     assert float.fromhex(out[2]) == float.fromhex("0x1.7407836e2a857p-24")
+
+
+_MPMATH_FOOTPRINT_SCRIPT = """
+import contextlib, io, sys
+import freudquad, freudquad.cli
+from freudquad import SpaceWeight, build_basis, gauss_rule, run_figure, wce_me2, wce_series
+run_figure("fig2a", n_values=(3, 5))
+run_figure("fig3a", n_values=(3, 5))
+rule = gauss_rule(build_basis(2.0, 30), 20)
+wce_series(rule.nodes, rule.omega, build_basis(2.0, 400), SpaceWeight.geometric(1.25), 40)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert freudquad.cli.main(["nodes", "--n", "5"]) == 0
+print("mpmath" in sys.modules)
+{last}
+print("mpmath" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "last", ["wce_me2(rule.nodes, rule.omega, 1.25)", "build_basis(4.0, 40)"]
+)
+def test_series_route_leaves_mpmath_unloaded(last):
+    # a fresh interpreter, as above: the import, the series figures, a series
+    # call on a Gauss rule and `nodes` take nothing to 40 digits; the kernel
+    # route and the c0 of alpha != 2 do, and each loads mpmath
+    src = os.path.dirname(os.path.dirname(freudquad.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _MPMATH_FOOTPRINT_SCRIPT.format(last=last)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == ["False", "True"]

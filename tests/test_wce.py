@@ -58,16 +58,46 @@ def me2_reference(nodes, omega, t, dps=40):
 
 
 def count_exp(monkeypatch):
-    """Count the mp.exp calls made from here on."""
+    """Count the exponentials taken from here on: ``mp.exp`` calls and the
+    integer layer's ``mpf_exp`` calls (the pair loop of ``_me2_parts``)."""
     calls = [0]
-    exp = mp.exp
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return exp(*args, **kwargs)
+    def counting(exp):
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return exp(*args, **kwargs)
 
-    monkeypatch.setattr(mp, "exp", counted)
+        return counted
+
+    monkeypatch.setattr(mp, "exp", counting(mp.exp))
+    monkeypatch.setattr(mp.libmp, "mpf_exp", counting(mp.libmp.mpf_exp))
     return calls
+
+
+def plain_me2_parts(xs, ws, w0, mirrored, t):
+    """``_me2_parts`` written with mpf operators and ``mp.fsum`` throughout."""
+    c = mp.pi / (t * t - 1)
+    beta, gamma = 4 * t * c, (t * t + 1) * c
+    xs = [mp.mpf(x) for x in xs]
+    cross = mp.fsum(w * mp.exp(-mp.pi * x * x) for w, x in zip(ws, xs))
+    us = [w * mp.exp(-gamma * x * x) for w, x in zip(ws, xs)]
+    xu = [(x, u) for x, u in zip(xs, us) if u]
+    rows = []
+    for i, (xi, ui) in enumerate(xu):
+        bxi, row = beta * xi, []
+        for xj, uj in xu[i:]:
+            e = mp.exp(bxi * xj)
+            if mirrored:
+                e += 1 / e
+            row.append(uj * e)
+        rows.append(ui * (row[0] + 2 * mp.fsum(row[1:])))
+    double_sum = mp.fsum(rows)
+    if mirrored:
+        double_sum = 2 * double_sum + w0 * (w0 + 4 * mp.fsum(u for _, u in xu))
+        cross = 2 * cross + w0
+    pref = mp.sqrt(2 / (t * t - 1))
+    return [1 / (mp.sqrt(2) * t), pref * double_sum, -2 * cross / t]
+
 
 
 class TestWceMe2:
@@ -207,6 +237,30 @@ class TestWceMe2Terms:
         calls = count_exp(monkeypatch)
         wce_me2(rule.nodes, rule.omega, 5.0)
         assert calls[0] == 2 * (20 + 210 + 20)
+
+    @pytest.mark.parametrize("t", [50.0 / 49.0, 1.25, 5.0])
+    @pytest.mark.parametrize("n", [1, 2, 9, 21, 41])
+    def test_pair_loop_keeps_the_bits_of_the_mpf_operators(
+        self, basis2, monkeypatch, n, t
+    ):
+        # the integer-layer loop makes the calls the operators make, so every
+        # part has the same mpf tuple as the operator-level loop, mirrored or not
+        rule = gauss_rule(basis2, n)
+        off = rule.nodes.copy()
+        off[0] = np.nextafter(off[0], np.inf)  # one ulp: not mirrored any more
+        parts, calls = wce_mod._me2_parts, []
+        monkeypatch.setattr(
+            wce_mod, "_me2_parts", lambda *args: calls.append(args[:4]) or parts(*args)
+        )
+        for nodes, mirrored in ((rule.nodes, True), (off, False)):
+            wce_me2(nodes, rule.omega, t)  # for the arguments it passes
+            args = calls[-1]
+            assert args[3] is mirrored
+            for dps in (40, 80):
+                with mp.workdps(dps):
+                    got = parts(*args, mp.mpf(t))
+                    want = plain_me2_parts(*args, mp.mpf(t))
+                assert [p._mpf_ for p in got] == [p._mpf_ for p in want], (mirrored, dps)
 
     def test_nodes_without_weight_add_nothing(self):
         # u = omega g(x) is 0 at a zero weight, and such a node drops out;
