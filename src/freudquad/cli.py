@@ -51,22 +51,27 @@ def _fmt(x: float) -> str:
 
 
 def _parse_n_range(text: str) -> list[int]:
-    """Accepts 'a:b[:step]' (inclusive) or a comma list."""
-    if ":" in text:
-        parts = [int(v) for v in text.split(":")]
-        if len(parts) == 2:
-            lo, hi, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            lo, hi, step = parts
+    """Accepts 'a:b[:step]' (inclusive) or a comma list of integers; any
+    other text raises ``ValueError("bad n-range ...")``."""
+    try:
+        if ":" in text:
+            parts = [int(v) for v in text.split(":")]
+            if len(parts) == 2:
+                lo, hi, step = parts[0], parts[1], 1
+            elif len(parts) == 3:
+                lo, hi, step = parts
+            else:
+                raise ValueError
+            if step < 1 or hi < lo:
+                raise ValueError
+            ns = list(range(lo, hi + 1, step))
         else:
-            raise ValueError(f"bad n-range {text!r}")
-        if step < 1 or hi < lo:
-            raise ValueError(f"bad n-range {text!r}")
-        ns = list(range(lo, hi + 1, step))
-    else:
-        ns = [int(v) for v in text.split(",") if v.strip()]
-    if not ns:
-        raise ValueError(f"bad n-range {text!r}")
+            ns = [int(v) for v in text.split(",") if v.strip()]
+        if not ns:
+            raise ValueError
+    except ValueError:
+        # int()'s own message names the one part it could not read
+        raise ValueError(f"bad n-range {text!r}") from None
     return ns
 
 
@@ -225,6 +230,11 @@ def _cmd_figure(args) -> int:
         overrides["sign_mode"] = args.sign_mode
     spec = figure_spec(args.id, **overrides)
     _check_trunc_tol(args, spec)
+    if args.sign_mode is not None and spec.eps is None:
+        # only shifted rules read it, and a figure without eps shifts none
+        raise ValueError(
+            "--sign-mode applies only to shifted rules (fig3a-fig3c, or --eps)"
+        )
     table = run_figure(spec)
     _emit_table(table, args, args.id)
     return 0

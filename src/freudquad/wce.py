@@ -15,14 +15,15 @@ space, for any nodes and weights that are 1-D, of equal length and finite
 The kernel route subtracts nearly equal quantities (about 15 of 40
 digits cancel at n = 41, t = 5/4, and up to 35 at t = 5), so it is evaluated in
 mpmath at 40 digits and again at more wherever fewer than 24 are left.
-It is the one use of mpmath here, so ``wce_me2`` imports it, and the series
-route never loads it.  The Mehler kernel factors into one Gaussian per node
-and one exponential e^{beta x y} per node pair: about m^2/2 exponentials
-for m nodes, and about m^2/8 on a rule whose nodes and weights are mirrored
-about 0 (every Gauss rule), where the four sign pairs of two nodes share
-one exponential.  The per-node Gaussians are ``mp.exp`` calls; the pair
-exponentials are ``mpmath.libmp.mpf_exp`` calls on mpmath's integer layer
-(see ``_me2_parts``).
+It is the package's only use of mpmath, so ``wce_me2`` imports it, and the
+series route and every basis build run without it.  The Mehler kernel
+factors into one Gaussian per node and one exponential e^{beta x y} per
+node pair: about m^2/2 exponentials for m nodes, and about m^2/8 on a rule
+whose nodes and weights are mirrored about 0 (every Gauss rule), where the
+four sign pairs of two nodes share one exponential.  The per-node
+Gaussians are ``mp.exp`` calls; the pair exponentials are
+``mpmath.libmp.mpf_exp`` calls on mpmath's integer layer (see
+``_me2_parts``).
 
 The series route adds its terms exactly and rounds the sum once
 (``_ExactSums``): each term's integer mantissa is cut into limbs, the limbs

@@ -113,6 +113,15 @@ class TestFigure:
         assert code == 0
         assert json.loads(out)["params"]["sign_mode"] == "alternating"
 
+    def test_sign_mode_is_recorded_with_eps(self, capsys):
+        # fig2a's rules are shifted once --eps is given, so the option applies
+        code, out, _ = run_cli(capsys, "figure", "fig2a", "--n-range", "3:5:2",
+                               "--eps", "0.05", "--sign-mode", "alternating",
+                               "--format", "json")
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert (params["eps"], params["sign_mode"]) == (0.05, "alternating")
+
     def test_full_fig1a_slope(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "figure", "fig1a", "--out", str(tmp_path))
         payload = json.loads((tmp_path / "fig1a.json").read_text())
@@ -625,10 +634,25 @@ class TestValidation:
         assert out == ""
         assert err == "error: bad n-range ''\n"
 
-    @pytest.mark.parametrize("n_range", ["1:2:3:4", "5:3"])
+    @pytest.mark.parametrize(
+        "n_range", ["1:2:3:4", "5:3", "3:x", "3:5:", "3, x", "x", "3:7:0", ":5"]
+    )
     def test_malformed_n_range_exits_one(self, capsys, n_range):
+        # an unreadable part used to print int()'s own message, "invalid
+        # literal for int() with base 10: 'x'"
         code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "3",
                                  "--n-range", n_range)
         assert code == 1
         assert out == ""
         assert err == f"error: bad n-range {n_range!r}\n"
+
+    @pytest.mark.parametrize("figure", ["fig1a", "fig1b", "fig2a", "fig2b"])
+    def test_sign_mode_without_shifted_rules_exits_one(self, capsys, figure):
+        # the option used to leave the table and its params unchanged
+        code, out, err = run_cli(capsys, "figure", figure, "--n-range", "3:5:2",
+                                 "--sign-mode", "random")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: --sign-mode applies only to shifted rules (fig3a-fig3c, or --eps)\n"
+        )

@@ -165,6 +165,18 @@ class TestBuildBasisGeneralAlpha:
         assert _c0(alpha) == expected
         assert build_basis(alpha, 8).c0 == expected
 
+    def test_c0_matches_the_gamma_identity_in_mpmath(self):
+        # the Gamma-function identity in 40-digit mpmath, on a seeded sweep
+        # of (1, 50] and at the ends of the domain
+        def oracle(alpha):
+            with mp.workdps(40):
+                inv = 1 / mp.mpf(alpha)
+                return float(1 / mp.sqrt(2 * mp.gamma(1 + inv) * (2 * mp.pi) ** -inv))
+
+        rng = np.random.default_rng(20241022)
+        alphas = [*(1.0 + 49.0 * (1.0 - rng.random(2000))), 1 + 1e-7, 1e6, 1e300]
+        assert [_c0(a) for a in alphas] == [oracle(a) for a in alphas]
+
     def test_c0_bits_at_alpha_2_and_4(self, basis2, basis4):
         assert basis2.c0 == 2.0 ** 0.25
         # the value the adaptive quadrature gave, bit for bit
@@ -767,25 +779,33 @@ _MPMATH_FOOTPRINT_SCRIPT = """
 import contextlib, io, sys
 import freudquad, freudquad.cli
 from freudquad import SpaceWeight, build_basis, gauss_rule, run_figure, wce_me2, wce_series
+def cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert freudquad.cli.main(list(argv)) == 0
 run_figure("fig2a", n_values=(3, 5))
 run_figure("fig3a", n_values=(3, 5))
 rule = gauss_rule(build_basis(2.0, 30), 20)
 wce_series(rule.nodes, rule.omega, build_basis(2.0, 400), SpaceWeight.geometric(1.25), 40)
-with contextlib.redirect_stdout(io.StringIO()):
-    assert freudquad.cli.main(["nodes", "--n", "5"]) == 0
+cli("nodes", "--n", "5")
+print("decimal" in sys.modules)
 print("mpmath" in sys.modules)
 {last}
 print("mpmath" in sys.modules)
 """
 
 
-@pytest.mark.parametrize(
-    "last", ["wce_me2(rule.nodes, rule.omega, 1.25)", "build_basis(4.0, 40)"]
-)
+@pytest.mark.parametrize("last", [
+    "wce_me2(rule.nodes, rule.omega, 1.25)",
+    "build_basis(4.0, 40)",
+    "build_basis(1.5, 20)",
+    'cli("coeffs", "--alpha", "4", "--n", "40")',
+])
 def test_series_route_leaves_mpmath_unloaded(last):
     # a fresh interpreter, as above: the import, the series figures, a series
-    # call on a Gauss rule and `nodes` take nothing to 40 digits; the kernel
-    # route and the c0 of alpha != 2 do, and each loads mpmath
+    # call on a Gauss rule and `nodes` take nothing to 40 digits and load
+    # neither mpmath nor decimal (which only the c0 of alpha != 2 needs); a
+    # Stieltjes build takes its c0 from decimal, so wce_me2 is the one call
+    # that loads mpmath
     src = os.path.dirname(os.path.dirname(freudquad.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -793,4 +813,4 @@ def test_series_route_leaves_mpmath_unloaded(last):
         [sys.executable, "-c", _MPMATH_FOOTPRINT_SCRIPT.format(last=last)],
         env=env, capture_output=True, text=True, check=True,
     ).stdout.split()
-    assert out == ["False", "True"]
+    assert out == ["False", "False", str(last.startswith("wce_me2"))]
