@@ -148,13 +148,16 @@ def _emit_table(table: WCETable, args, stem: str) -> None:
 
 
 def _check_trunc_tol(args, spec) -> None:
-    """Reject an explicit ``--trunc-tol`` on the kernel route, which sums no
-    series and so has nothing to truncate.  Omitted, the option is None on
-    ``figure`` and the object ``FigureSpec.trunc_tol`` itself on ``wce``
-    (argparse parses only a given value, into a new float)."""
+    """Reject an explicit ``--trunc-tol`` where no tolerance truncates: on the
+    kernel route, which sums no series, and at a fixed depth ``spec.k_max``.
+    Omitted, the option is None on ``figure`` and the object
+    ``FigureSpec.trunc_tol`` itself on ``wce`` (argparse parses only a given
+    value, into a new float)."""
     given = args.trunc_tol is not None and args.trunc_tol is not FigureSpec.trunc_tol
-    if given and spec.kernel_route:
-        raise ValueError("--trunc-tol does not apply to the closed-form kernel route")
+    if given and (spec.kernel_route or spec.k_max is not None):
+        where = "the closed-form kernel route" if spec.kernel_route else (
+            f"the fixed series depth k_max = {spec.k_max}")
+        raise ValueError(f"--trunc-tol does not apply to {where}")
 
 
 def _cmd_wce(args) -> int:

@@ -58,7 +58,7 @@ class NotAFrameError(FreudQuadError):
 
 
 class GapViolationError(FreudQuadError):
-    """A node perturbation is large enough to reorder adjacent nodes."""
+    """A node perturbation makes adjacent nodes cross or coincide."""
 
 
 class GridInsufficientError(FreudQuadError):

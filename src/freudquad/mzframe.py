@@ -126,33 +126,29 @@ def perturb_nodes(
 ):
     """Displace every node by +-eps_mag; tau is carried over unchanged.
 
-    Rejects magnitudes of half the minimal node gap or more, since
-    opposite displacements of adjacent nodes could then reorder them.
-    ``allow_reorder=True`` skips that guard (the discrete system only
-    needs distinct nodes, not sorted ones) and is what the figure
-    experiments use at magnitudes comparable to the node spacing;
-    coincident perturbed nodes still raise.
+    The shifted nodes must stay distinct and, unless ``allow_reorder`` is
+    set, in the rule's order (the system needs distinct nodes only, and the
+    figure experiments allow reordering): the first neighbours that cross or
+    coincide raise ``GapViolationError``, so one-sign shifts of any size pass.
     """
     if not 0 <= eps_mag < math.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps_mag}")
-    sg = _signs(sign_mode, rule.nodes.size, seed)
-    if rule.nodes.size > 1:
-        min_gap = float(np.min(np.diff(rule.nodes)))
-        if not allow_reorder and eps_mag >= 0.5 * min_gap:
-            raise GapViolationError(
-                f"eps={eps_mag} >= half the minimal node gap {min_gap:.6f}; "
-                "opposite shifts of adjacent nodes could reorder them"
-            )
-    nodes = rule.nodes + sg * eps_mag
-    if np.unique(nodes).size != nodes.size:
-        raise GapViolationError("perturbation produced coincident nodes")
+    nodes = rule.nodes + _signs(sign_mode, rule.nodes.size, seed) * eps_mag
+    # neighbours in the rule's order, or sorted where it may change, by the
+    # default sort: a stable one maps about 0.1 MB more of numpy's code pages
+    order = np.argsort(nodes) if allow_reorder else np.arange(nodes.size)
+    closed = np.flatnonzero(np.diff(nodes[order]) <= 0)
+    if closed.size:
+        i, j = sorted(order[closed[0]:closed[0] + 2])
+        raise GapViolationError(
+            f"eps={eps_mag} closes the gap {rule.nodes[j] - rule.nodes[i]:.6f} between "
+            f"nodes {i} and {j}: shifted, they read {nodes[i]:.6f} and {nodes[j]:.6f}"
+        )
     return nodes, rule.tau.copy()
 
 
 def support_check(nodes, alpha: float, n: int, L: float = 3.0) -> bool:
     """True iff max |node| <= m_{n,alpha} (1 + L n^{-2/3})."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if not 0 < L < math.inf:
         raise ValueError(f"L must be finite and > 0, got {L}")
     limit = mrs_number(alpha, n) * (1.0 + L * n ** (-2.0 / 3.0))

@@ -374,7 +374,7 @@ def build_basis(alpha: float, n_max: int) -> FreudBasis:
 
     if alpha == 2.0:
         k = np.arange(1, n_max + 1, dtype=float)
-        # _c0(2.0) to the bit, without loading mpmath
+        # _c0(2.0) to the bit, without loading decimal
         return FreudBasis(2.0, 2.0 ** 0.25, np.sqrt(k / (4.0 * math.pi)), n_max)
 
     # c0 in closed form, independently of the panel grid
@@ -427,6 +427,8 @@ def _sweep(basis: FreudBasis, x, stop: int, block: int | None = None):
     a_k comes as a row of one read-only view of the coefficients with
     stride 0 along x, which a call takes as it is.
     """
+    if stop < 0:
+        raise ValueError(f"basis index must be >= 0, got {stop}")
     if stop > basis.n_max:
         raise CapacityError(
             f"requested index {stop} exceeds basis capacity {basis.n_max}",

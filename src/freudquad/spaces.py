@@ -60,12 +60,11 @@ class Decay(NamedTuple):
 
 @dataclass(frozen=True)
 class SpaceWeight:
-    """One of the five coefficient-weight families.
-
-    A mod-exp2 weight keeps its ratio t in ``_t``: the t it was built from
-    by ``geometric(t)`` (s = pi(1 - 1/t) does not always round-trip to t),
-    else pi/(pi - s).
-    """
+    """One of the five coefficient-weight families, with float parameters:
+    exp takes p, q > 0, the others s >= 0, mod-exp2 s < pi or its ratio
+    t > 1 in ``_t`` (s = pi (1 - 1/t), and a given s must equal it); any other
+    parameter raises ``ValueError``.  A mod-exp2 weight keeps the t it was
+    given (s does not always round-trip to it), else pi/(pi - s)."""
 
     kind: str
     s: float | None = None
@@ -76,68 +75,70 @@ class SpaceWeight:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
+        for key in ("s", "p", "q", "_t"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, float(getattr(self, key)))
+        if self._t is not None and self.kind != "mod-exp2":
+            raise ValueError(f"t applies only to mse2, not {self.name}")
         if self.kind == "exp":
+            if self.s is not None:
+                raise ValueError("s does not apply to epq")
             if not all(v is not None and 0 < v < math.inf for v in (self.p, self.q)):
-                raise ValueError("exp weights need finite p > 0 and q > 0")
-        elif self.s is None or not 0 <= self.s < math.inf:
+                raise ValueError("epq needs p and q, both finite and > 0")
+        elif self.p is not None or self.q is not None:
+            raise ValueError(f"p and q apply only to epq, not {self.name}")
+        elif self._t is not None:
+            if not 1 < self._t < math.inf:
+                raise ValueError(f"geometric decay needs t > 1 and finite, got t={self._t}")
+            s = math.pi * (1.0 - 1.0 / self._t)
+            if self.s is not None and self.s != s:
+                raise ValueError("s and t both set the mse2 weight; give one")
+            object.__setattr__(self, "s", s)
+        if self.kind != "exp" and (self.s is None or not 0 <= self.s < math.inf):
             raise ValueError(f"{self.kind} weights need s >= 0 and finite")
-        elif self.kind == "mod-exp2" and not self.s < math.pi:
+        if self.kind == "mod-exp2" and not self.s < math.pi:  # t of 1e17 or more
             raise ValueError("mod-exp2 needs 0 <= s < pi")
-        if self.kind != "mod-exp2" and self._t is not None:
-            raise ValueError(f"a ratio t applies only to mod-exp2, not {self.kind!r}")
         if self.kind == "mod-exp2" and self._t is None:
             object.__setattr__(self, "_t", math.pi / (math.pi - self.s))
 
     # constructors
     @classmethod
     def polynomial(cls, s: float) -> "SpaceWeight":
-        return cls("poly", s=float(s))
+        return cls("poly", s=s)
 
     @classmethod
     def exponential(cls, p: float, q: float) -> "SpaceWeight":
-        return cls("exp", p=float(p), q=float(q))
+        return cls("exp", p=p, q=q)
 
     @classmethod
     def mod_poly(cls, s: float) -> "SpaceWeight":
-        return cls("mod-poly", s=float(s))
+        return cls("mod-poly", s=s)
 
     @classmethod
     def mod_exp(cls, s: float) -> "SpaceWeight":
-        return cls("mod-exp", s=float(s))
+        return cls("mod-exp", s=s)
 
     @classmethod
     def mod_exp2(cls, s: float) -> "SpaceWeight":
-        return cls("mod-exp2", s=float(s))
+        return cls("mod-exp2", s=s)
 
     @classmethod
     def geometric(cls, t: float) -> "SpaceWeight":
         """The mod-exp2 weight t^(k+1), keeping t as given."""
-        if not 1 < t < math.inf:
-            raise ValueError(f"geometric decay needs t > 1 and finite, got t={t}")
-        return cls("mod-exp2", s=math.pi * (1.0 - 1.0 / t), _t=float(t))
+        return cls("mod-exp2", _t=t)
 
     @classmethod
     def named(cls, name: str, s=None, p=None, q=None, t=None) -> "SpaceWeight":
-        """The weight a report name stands for: epq takes p and q, the others
-        s (default 1), mse2 t in place of s.  Any other parameter is an error."""
+        """The weight a report name stands for: s defaults to 1 where it
+        applies, and s and t are not both given even where they agree."""
         kind = next((k for k, (n, _) in _KINDS.items() if n == name), None)
         if kind is None:
             raise ValueError(f"unknown space name {name!r}")
-        if t is not None and kind != "mod-exp2":
-            raise ValueError(f"t applies only to mse2, not {name}")
-        if kind == "exp":
-            if s is not None:
-                raise ValueError("s does not apply to epq")
-            if p is None or q is None:
-                raise ValueError("epq needs p and q")
-            return cls.exponential(p, q)
-        if p is not None or q is not None:
-            raise ValueError(f"p and q apply only to epq, not {name}")
-        if t is None:
-            return cls(kind, s=1.0 if s is None else float(s))
-        if s is not None:
+        s = 1.0 if s is None and t is None and kind != "exp" else s
+        weight = cls(kind, s=s, p=p, q=q, _t=t)
+        if s is not None and t is not None:  # after cls(), which names a stray t
             raise ValueError("s and t both set the mse2 weight; give one")
-        return cls.geometric(t)
+        return weight
 
     @staticmethod
     def names() -> tuple:
@@ -184,10 +185,10 @@ class SpaceWeight:
 
 @dataclass(frozen=True)
 class HermiteExpansion:
-    """A finite expansion sum_k coeffs[k] h_k over the weighted basis."""
+    """A finite expansion sum_k coeffs[k] h_k over the alpha = 2 basis, the
+    one on which the modulation norms diagonalize."""
 
     coeffs: np.ndarray
-    alpha: float = 2.0
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
@@ -196,11 +197,11 @@ class HermiteExpansion:
         self.coeffs.setflags(write=False)
 
     @classmethod
-    def unit(cls, k: int, alpha: float = 2.0) -> "HermiteExpansion":
+    def unit(cls, k: int) -> "HermiteExpansion":
         """The basis element h_k as an expansion."""
         c = np.zeros(k + 1)
         c[k] = 1.0
-        return cls(c, alpha)
+        return cls(c)
 
 
 def lambda_of(space: SpaceWeight, k):
@@ -316,12 +317,9 @@ def radial_moment(space: SpaceWeight, k: int) -> float:
 
 
 def modulation_norm_sq(space: SpaceWeight, f: HermiteExpansion) -> float:
-    """Diagonal form of the squared weighted transform norm.
-
-    Valid only for alpha = 2, where the basis diagonalizes the transform.
-    """
-    if f.alpha != 2.0:
-        raise ValueError(f"modulation norms require alpha=2, got {f.alpha}")
+    """Diagonal form of the squared weighted transform norm,
+    sum_k fhat_k^2 mu_k over the alpha = 2 basis of ``f``, where the
+    transform maps h_k to a normalized monomial."""
     _require_modulation(space)
     terms = [
         f.coeffs[k] ** 2 * radial_moment(space, k)
@@ -352,8 +350,6 @@ def stft_grid_norm_sq(
     # scipy.special (0.04 s, 2.5 MB) to the functions that call it
     from scipy.special import gammaln
 
-    if f.alpha != 2.0:
-        raise ValueError(f"modulation norms require alpha=2, got {f.alpha}")
     _require_modulation(space)
     m = f.coeffs.size - 1
     R = radius if radius is not None else _auto_radius(m, space)

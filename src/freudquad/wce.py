@@ -241,6 +241,8 @@ def _wce_series_rows(
     sum beyond float64, or the shared lambda_k evaluation), which fails
     that row alone.
     """
+    if k_max is not None and k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     results: list = [None] * len(rows)
     truncation = {}  # start -> K, one series_truncation per distinct start
     live = []  # (slot, omega, start, K, column offset)

@@ -375,6 +375,23 @@ class TestWce:
             "error: --trunc-tol does not apply to the closed-form kernel route\n"
         )
 
+    @pytest.mark.parametrize("argv, k_max", [
+        (("figure", "fig3b", "--n-range", "3:5:2", "--trunc-tol", "1e-6",
+          "--format", "json"), 40000),
+        (("wce", "--space", "hs", "--n-range", "3:5:2", "--trunc-tol", "1e-3"), 40000),
+        (("wce", "--space", "mse", "--n-range", "3:5:2", "--k-max", "300",
+          "--trunc-tol", "1e-3"), 300),
+    ])
+    def test_trunc_tol_at_a_fixed_depth_is_rejected(self, capsys, argv, k_max):
+        # the tolerance was recorded next to k_max and the rows were those
+        # of the fixed depth, as if no tolerance had been given
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: --trunc-tol does not apply to the fixed series depth k_max = {k_max}\n"
+        )
+
     def test_first_failed_row_is_raised(self, capsys):
         code, out, err = run_cli(capsys, "wce", "--space", "hs", "--s", "3",
                                  "--n-range", "0:3")
@@ -504,6 +521,26 @@ class TestPerturb:
         )
         assert code == 2
         assert "gap" in err.lower() or "reorder" in err.lower()
+
+    def test_one_sign_shift_of_any_size_passes(self, capsys):
+        # it exited 2: "eps=0.5 >= half the minimal node gap 0.418608"
+        code, out, err = run_cli(capsys, "perturb", "--n", "3", "--eps", "0.5",
+                                 "--sign-mode", "positive", "--format", "json")
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["eps"] == 0.5
+
+    def test_crossing_neighbours_are_named(self, capsys):
+        # nodes 0 and 1 of the 4-node rule, 0.449222 apart, move 0.3 toward
+        # each other; the message is the first pair that crosses
+        code, out, err = run_cli(capsys, "perturb", "--n", "3", "--eps", "0.3",
+                                 "--sign-mode", "alternating")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "numerical failure: eps=0.3 closes the gap 0.449222 between nodes 0 and 1: "
+            "shifted, they read -0.358526 and -0.509304\n"
+        )
 
 
 class TestCheck:

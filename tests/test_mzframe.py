@@ -6,6 +6,7 @@ import pytest
 from freudquad import (
     GapViolationError,
     NotAFrameError,
+    QuadratureRule,
     SpaceWeight,
     UnboundedTailError,
     basis_matrix,
@@ -21,6 +22,7 @@ from freudquad import (
     wce_series,
 )
 import freudquad.wce as wce_mod
+from freudquad.mzframe import _signs
 from freudquad.wce import series_truncation
 
 PI = math.pi
@@ -78,6 +80,9 @@ class TestBuildSystem:
             build_system(basis2, 2, np.array([0.1, 0.2]), np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="need at least one node"):
             build_system(basis2, 3, [], [])
+        # it said "range() arg 3 must not be zero", numpy's message
+        with pytest.raises(ValueError, match="basis index must be >= 0, got -1"):
+            build_system(basis2, -1, np.array([0.1, 0.2]), np.array([1.0, 1.0]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_nodes_or_tau(self, basis2, bad):
@@ -136,10 +141,43 @@ class TestPerturbNodes:
 
     def test_gap_violation(self, gauss22):
         gap = float(np.min(np.diff(gauss22.nodes)))
-        with pytest.raises(GapViolationError):
-            perturb_nodes(gauss22, gap, sign_mode="random")
-        with pytest.raises(GapViolationError):
-            perturb_nodes(gauss22, 0.5 * gap, sign_mode="positive")
+        # nodes 0 and 1, 0.309723 apart, each move the minimal gap toward the
+        # other; the first pair that crosses is named
+        with pytest.raises(GapViolationError, match="gap 0.309723 between nodes 0 and 1"):
+            perturb_nodes(gauss22, gap, sign_mode="alternating")
+        # one sign moves every node alike: no shift reorders them
+        nodes, _ = perturb_nodes(gauss22, 10.0 * gap, sign_mode="positive")
+        assert np.array_equal(nodes, gauss22.nodes + 10.0 * gap)
+
+    @pytest.mark.parametrize("sign_mode", ["random", "alternating", "positive"])
+    @pytest.mark.parametrize("allow_reorder", [False, True])
+    @pytest.mark.parametrize("integer_nodes", [False, True])
+    def test_raises_exactly_when_shifted_neighbours_cross(
+        self, gauss22, sign_mode, allow_reorder, integer_nodes
+    ):
+        # brute force over the shifted nodes: neighbours in the rule's order
+        # must stay strictly increasing, or with allow_reorder every pair
+        # must stay distinct; integer nodes coincide exactly at eps 0.5 and 1
+        rule = gauss22
+        if integer_nodes:
+            x = np.arange(-5.0, 6.0)
+            rule = QuadratureRule(2.0, x.size, x, np.ones(x.size), np.ones(x.size))
+        gap = float(np.min(np.diff(rule.nodes)))
+        for eps in (0.0, 0.3 * gap, 0.5 * gap, 0.7 * gap, gap, 1.5 * gap, 4.0):
+            for seed in range(20):
+                shifted = rule.nodes + _signs(sign_mode, rule.nodes.size, seed) * eps
+                m = shifted.size
+                if allow_reorder:
+                    bad = any(shifted[i] == shifted[j]
+                              for i in range(m) for j in range(i + 1, m))
+                else:
+                    bad = any(shifted[i + 1] <= shifted[i] for i in range(m - 1))
+                if bad:
+                    with pytest.raises(GapViolationError, match="gap"):
+                        perturb_nodes(rule, eps, sign_mode, seed, allow_reorder)
+                else:
+                    nodes, _ = perturb_nodes(rule, eps, sign_mode, seed, allow_reorder)
+                    assert np.array_equal(nodes, shifted)
 
     def test_allow_reorder_escape_hatch(self, gauss22):
         gap = float(np.min(np.diff(gauss22.nodes)))

@@ -117,6 +117,18 @@ class TestBuildBasisAlpha2:
             assert np.array_equal(basis.coeffs, build_basis(2.0, 6).coeffs)
 
 
+class TestNegativeIndex:
+    # basis_matrix said "range() arg 3 must not be zero" and eval_basis
+    # "negative dimensions are not allowed", numpy's messages
+    def test_basis_matrix(self, basis2):
+        with pytest.raises(ValueError, match="basis index must be >= 0, got -1"):
+            basis_matrix(basis2, [0.0], -1)
+
+    def test_eval_basis(self, basis2):
+        with pytest.raises(ValueError, match="basis index must be >= 0, got -2"):
+            eval_basis(basis2, 0.0, -2)
+
+
 class TestOrthonormalityAlpha2:
     def test_against_trapezoid_oracle(self, basis2, trapezoid_oracle):
         _, xs = trapezoid_oracle(lambda v: v, 8.0)

@@ -128,7 +128,7 @@ class TestSpaceWeight:
         assert given.describe() == {"kind": "mod-exp2", "s": s, "t": 3.0}
         assert SpaceWeight.mod_exp2(s)._t == PI / (PI - s) != 3.0
         assert SpaceWeight.geometric(3) == given
-        with pytest.raises(ValueError, match="only to mod-exp2"):
+        with pytest.raises(ValueError, match="t applies only to mse2, not mse"):
             SpaceWeight("mod-exp", s=1.0, _t=3.0)
 
     def test_named_builds_each_report_name(self):
@@ -156,11 +156,45 @@ class TestSpaceWeight:
             ("mse2", {"t": 1}, "geometric decay needs t > 1"),
             ("hs", {"s": -1}, "poly weights need s >= 0"),
             ("poly", {}, "unknown space name 'poly'"),
+            # the constructor takes an s equal to pi (1 - 1/t); the CLI takes one
+            ("mse2", {"s": PI * (1 - 1 / 3), "t": 3}, "s and t both set the mse2 weight"),
         ],
     )
     def test_named_rejects_what_the_space_does_not_take(self, name, given, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             SpaceWeight.named(name, **given)
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            ({"kind": "mod-exp2", "s": 0.5, "_t": 3.0}, "s and t both set the mse2 weight"),
+            ({"kind": "mod-exp2", "_t": 1.0}, "geometric decay needs t > 1"),
+            ({"kind": "mod-exp2", "_t": math.inf}, "geometric decay needs t > 1"),
+            ({"kind": "mod-exp2", "s": PI}, "mod-exp2 needs 0 <= s < pi"),
+            # 1 - 1/t rounds to 1, so s = pi: the grid radius would divide by 0
+            ({"kind": "mod-exp2", "_t": 1e17}, "mod-exp2 needs 0 <= s < pi"),
+            ({"kind": "mod-exp2", "s": 1.0, "p": 1.0}, "p and q apply only to epq, not mse2"),
+            ({"kind": "poly", "s": 1.0, "_t": 2.0}, "t applies only to mse2, not hs"),
+            ({"kind": "poly", "s": 1.0, "q": 1.0}, "p and q apply only to epq, not hs"),
+            ({"kind": "poly"}, "poly weights need s >= 0"),
+            ({"kind": "mod-poly", "s": math.nan}, "mod-poly weights need s >= 0"),
+            ({"kind": "mod-exp", "s": -0.5}, "mod-exp weights need s >= 0"),
+            ({"kind": "exp", "s": 1.0, "p": 1.0, "q": 1.0}, "s does not apply to epq"),
+            ({"kind": "exp", "q": 1.0}, "epq needs p and q"),
+            ({"kind": "exp", "p": 1.0, "q": math.inf}, "epq needs p and q"),
+            ({"kind": "exp", "p": 1.0, "q": 1.0, "_t": 2.0}, "t applies only to mse2, not epq"),
+        ],
+    )
+    def test_constructor_rejects_what_the_kind_does_not_take(self, given, message):
+        # SpaceWeight("mod-exp2", s=0.5, _t=3.0) was accepted: its h_0 norm
+        # read 3.0 through the kept t and 1.19 through s on the grid
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SpaceWeight(**given)
+
+    def test_parameters_are_floats(self):
+        space = SpaceWeight("exp", p=1, q=np.float64(2))
+        assert (type(space.p), type(space.q)) == (float, float)
+        assert SpaceWeight.named("hs", s=2).describe() == {"kind": "poly", "s": 2.0}
 
     @pytest.mark.parametrize("t", [1.0, 0.5, 0.0, -2.0])
     def test_geometric_needs_t_above_one(self, t):
@@ -365,11 +399,6 @@ class TestModulationNorm:
         assert modulation_norm_sq(SpaceWeight.mod_poly(1.0), f) == pytest.approx(
             1.0 + 3.0 / PI, rel=1e-13
         )
-
-    def test_requires_alpha2(self):
-        f = HermiteExpansion(np.array([1.0]), alpha=4.0)
-        with pytest.raises(ValueError):
-            modulation_norm_sq(SpaceWeight.mod_poly(1.0), f)
 
     def test_poly_ratio_interval(self):
         # ||h_k||^2 / (1+k)^s confined to an interval of width <= 4

@@ -292,6 +292,13 @@ class TestWceSeries:
         assert wce_series(rule.nodes, rule.omega, basis2, space, start=200,
                           k_max=150) == 0.0
 
+    def test_negative_k_max_is_rejected(self, basis2):
+        # it returned 0.0, the value of an exact rule
+        rule = gauss_rule(basis2, 3)
+        with pytest.raises(ValueError, match="k_max must be >= 0, got -3"):
+            wce_series(rule.nodes, rule.omega, basis2, SpaceWeight.polynomial(1.0),
+                       start=0, k_max=-3)
+
     def test_exactness_makes_low_modes_irrelevant(self, basis2, basis2_deep):
         # starting at 0 instead of 2n changes nothing for an exact rule
         rule = gauss_rule(basis2, 9)
